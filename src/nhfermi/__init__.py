@@ -25,7 +25,6 @@ from .fock import (
 from .figure import (
     BoundaryPolyline,
     ContainmentReport,
-    CurvePoint,
     CurveSpec,
     containment_check,
     default_figure_config,
@@ -40,7 +39,6 @@ from .metric import (
     hermitized_hamiltonian,
     ladder_sum_exp,
     physical_inner,
-    sym_exp,
 )
 from .operators import (
     BiorthogonalSystem,

@@ -7,15 +7,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import fock as fk
-from . import metric as mt
 from . import operators as op
 from . import figure as fg
 from . import thermo as th
 from .params import make_params, mode_energy
-from .selfcheck import run_all
+from .selfcheck import criterion_3, criterion_4, run_all
 
 
 def _cmd_spectrum(args) -> int:
@@ -30,60 +26,22 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _print_checks(checks, indent="") -> None:
+    for c in checks:
+        print(f"{indent}{'PASS' if c.passed else 'FAIL'}  {c}")
+
+
+def _report(result) -> int:
+    _print_checks(result.checks)
+    return 0 if result.passed else 1
+
+
 def _cmd_metric_check(args) -> int:
-    p = make_params(args.gamma)
-    M, n = args.truncation, args.truncation // 2
-    met = mt.build_metric(p, M)
-    H = op.build_hamiltonian(p, M).entries
-    T0, Tp, Tm = (t.entries for t in op.build_t_operators(p, M))
-
-    def rel(R, *scales):
-        s = sum(np.abs(a) @ np.abs(b) for a, b in scales)
-        return float(np.abs(R[:n, :n]).max() / s[:n, :n].max())
-
-    checks = [
-        ("D2 H - H^T D2 (interior, relative)",
-         rel(met.d2 @ H - H.T @ met.d2, (met.d2, H), (H.T, met.d2))),
-        ("D2 T+ - T-^T D2 (interior, relative)",
-         rel(met.d2 @ Tp - Tm.T @ met.d2, (met.d2, Tp), (Tm.T, met.d2))),
-    ]
-    for which, T in (("S0", T0), ("Splus", Tp), ("Sminus", Tm)):
-        C = mt.conjugate_generator(p, M, which).entries
-        checks.append((f"conjugated {which} vs T (interior, max)",
-                       float(np.abs(C[:n, :n] - T[:n, :n]).max())))
-    bad = False
-    for name, value in checks:
-        ok = value <= args.tol
-        bad |= not ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tol {args.tol:g})")
-    return 1 if bad else 0
+    return _report(criterion_3(args.gamma, args.truncation, args.tol))
 
 
 def _cmd_fock_check(args) -> int:
-    p = make_params(args.gamma)
-    space = fk.build_fock(args.modes)
-    bio = op.dense_biorthogonal(p, args.modes)
-    pf = fk.build_pseudo_fermions(space, bio)
-    import scipy.sparse as sp
-    I = sp.identity(space.dimension)
-    worst = 0.0
-    for i in range(args.modes):
-        for j in range(args.modes):
-            A = pf.d_dag[i].matrix @ pf.d[j].matrix + pf.d[j].matrix @ pf.d_dag[i].matrix
-            if i == j:
-                A = A - I
-            A = sp.coo_matrix(A)
-            if A.nnz:
-                worst = max(worst, float(np.abs(A.data).max()))
-    diag = fk.diagonal_form_residual(space, p, pf)
-    checks = [("pseudo-fermion anticommutators", worst),
-              ("diagonal-form residual", diag)]
-    bad = False
-    for name, value in checks:
-        ok = value <= args.tol
-        bad |= not ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tol {args.tol:g})")
-    return 1 if bad else 0
+    return _report(criterion_4(args.gamma, args.modes, args.tol))
 
 
 def _cmd_thermo(args) -> int:
@@ -112,27 +70,33 @@ def _cmd_figure(args) -> int:
     else:
         config = fg.default_figure_config()
     records = fg.figure_records(config)
-    payload = (fg.records_to_csv(records) if args.format == "csv"
-               else fg.records_to_json(records))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write(payload)
     boundary = fg.hull_boundary(make_params(config["gamma"]), config["n_max"])
     exact_pts = [r for r in records if r.method == "exact"]
     if exact_pts:
         report = fg.containment_check(exact_pts, boundary)
         print(f"containment: min margin {min(report.margins):.3e}, "
               f"violations {len(report.violations)}")
+        if report.violations:
+            for beta, mu, margin in report.violations:
+                print(f"FAIL  point below the hull: beta={beta!r} mu={mu!r} "
+                      f"margin {margin:.3e}")
+            print(f"{args.out} not written")
+            return 1
+    payload = (fg.records_to_csv(records) if args.format == "csv"
+               else fg.records_to_json(records))
+    with open(args.out, "w", encoding="utf-8", newline="") as f:
+        f.write(payload)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def _cmd_selfcheck(_args) -> int:
-    results = run_all()
     failed = False
-    for r in results:
+    for r in run_all():
         tag = "PASS" if r.passed else ("FAIL (expected)" if r.expected_failure else "FAIL")
         failed |= (not r.passed and not r.expected_failure)
-        print(f"criterion {r.cid:>3} {tag:>16}  {r.name}: {r.detail}")
+        print(f"criterion {r.cid:>3} {tag:>16}  {r.name}")
+        _print_checks(r.checks, indent="    ")
     print("selfcheck:", "FAIL" if failed else "PASS")
     return 1 if failed else 0
 
@@ -180,8 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit codes: 0 success, 1 a check failed,
+    2 bad input or an unreadable/unwritable file (one line on stderr)."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"nhfermi: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ModelParams, make_params
-from .thermo import ThermoPoint, em_expectations, exact_expectations
+from .thermo import em_expectations, exact_expectations
 
 __all__ = [
     "CurveSpec",
-    "CurvePoint",
     "BoundaryPolyline",
     "ContainmentReport",
     "generate_curve",
@@ -64,19 +63,6 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    method: str
-    gamma: float
-    beta: float
-    mu: float
-    zeta_prime: float
-    log_z: float
-    energy: float
-    number: float
-    entropy: float
-
-
-@dataclass(frozen=True)
 class BoundaryPolyline:
     """Lower boundary vertices (n, Lambda n(2n-1)/4), n = 0..n_max."""
 
@@ -98,19 +84,8 @@ class ContainmentReport:
     violations: list = field(default_factory=list)
 
 
-def _point(params: ModelParams, method: str, beta: float, mu: float,
-           tail_tol: float) -> CurvePoint:
-    if method == "exact":
-        tp: ThermoPoint = exact_expectations(params, beta, mu, tail_tol=tail_tol)
-    else:
-        tp = em_expectations(params, beta, mu)
-    return CurvePoint(method=tp.method, gamma=params.gamma, beta=tp.beta,
-                      mu=tp.mu, zeta_prime=tp.zeta_prime, log_z=tp.log_z,
-                      energy=tp.energy, number=tp.number, entropy=tp.entropy)
-
-
 def generate_curve(spec: CurveSpec, tail_tol: float = 1e-12):
-    """One CurvePoint per sweep value per method, in sweep order."""
+    """One ThermoPoint per sweep value per method, in sweep order."""
     params = make_params(spec.gamma)
     methods = ("exact", "euler_maclaurin") if spec.method == "both" else (spec.method,)
     out = []
@@ -119,7 +94,8 @@ def generate_curve(spec: CurveSpec, tail_tol: float = 1e-12):
                     else (value, spec.fixed_value))
         for method in methods:
             try:
-                out.append(_point(params, method, beta, mu, tail_tol))
+                out.append(exact_expectations(params, beta, mu, tail_tol=tail_tol)
+                           if method == "exact" else em_expectations(params, beta, mu))
             except Exception as exc:
                 raise RuntimeError(
                     f"curve point failed at beta={beta}, mu={mu}, method={method}: {exc}"

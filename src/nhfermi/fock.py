@@ -104,7 +104,9 @@ def sector_indices(m: int, k: int) -> np.ndarray:
     if not 0 <= k <= m:
         raise ValueError(f"sector {k} out of range for {m} modes")
     idx = np.arange(1 << m, dtype=np.int64)
-    return idx[np.bitwise_count(idx) == k]
+    out = idx[np.bitwise_count(idx) == k]
+    out.flags.writeable = False   # shared by every caller through the cache
+    return out
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -119,7 +121,10 @@ def _creation_matrix(m: int, j: int) -> sp.csr_matrix:
     src = idx[(idx & mask) == 0]
     dst = src | mask
     signs = 1.0 - 2.0 * (_popcount(src & (mask - 1)) & 1)
-    return sp.csr_matrix((signs, (dst, src)), shape=(dim, dim))
+    C = sp.csr_matrix((signs, (dst, src)), shape=(dim, dim))
+    for a in (C.data, C.indices, C.indptr):
+        a.flags.writeable = False   # shared by every caller through the cache
+    return C
 
 
 def creation_op(space: FockSpace, j: int) -> FockOperator:

@@ -14,11 +14,9 @@ triangular (Gauss) factorization
 whose triangular structure makes the leading M x M block of the infinite
 operator exactly computable: no truncation error enters, and every factor
 has single-sign entries (for theta > 0), so the block is obtained to
-eps-relative accuracy.  A spectral-decomposition exponential of the
-*truncated* K is also provided (sym_exp) but loses all significant interior
-digits once theta * ||K|| is large: at the working sizes the matrix scale
-reaches 1e30 while interior entries sit near 1e12.  Residual checks are
-therefore scale-relative throughout.
+eps-relative accuracy.  At the working sizes the matrix scale reaches 1e30
+while interior entries sit near 1e12, so residual checks are scale-relative
+throughout.
 
 The conjugation check exp(-alpha K) X exp(alpha K) cancels intermediate
 terms ~1e16 down to O(10) results, beyond float64; it runs in mpmath
@@ -37,7 +35,6 @@ from .params import METRIC_GAMMA_BOUND, ModelParams
 
 __all__ = [
     "MetricOperator",
-    "sym_exp",
     "ladder_sum_exp",
     "build_metric",
     "conjugate_generator",
@@ -54,26 +51,6 @@ class MetricOperator:
     d2: np.ndarray
     d: np.ndarray
     alpha: float
-
-
-def sym_exp(A: np.ndarray, t: float) -> np.ndarray:
-    """exp(t A) of a real symmetric A through its eigendecomposition.
-
-    Exact spectral mapping; the result is re-symmetrized to kill round-off.
-    Only accurate while t * spread(A) stays moderate; for the ladder sum
-    at large truncations use ladder_sum_exp instead.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(1.0, np.abs(A).max())
-    if np.abs(A - A.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    if t == 0.0:
-        return np.eye(A.shape[0])
-    lam, Q = np.linalg.eigh(A)
-    R = (Q * np.exp(t * lam)) @ Q.T
-    return (R + R.T) / 2.0
 
 
 def _lower_series(t: float, M: int) -> np.ndarray:

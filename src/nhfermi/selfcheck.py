@@ -1,15 +1,19 @@
 """Acceptance battery: every check the package must pass, as callable
-functions shared by the CLI selfcheck command and the pytest suite.
+functions shared by the CLI (selfcheck, metric-check, fock-check) and the
+pytest suite.
 
-Each criterion returns a CriterionResult with the worst observed metric in
-``detail``.  One check (5b) is flagged ``expected_failure``: the ladder-
-pattern bilinears and the truncated linear combinations of T+/T- cannot
-agree on a finite mode set, because the combination matrices have nonzero
-trace -(gamma/Lambda) m(2m-1)/4 while any similarity image of the strictly
-off-diagonal ladder pattern is traceless.  The check is still executed and
-reported honestly.
+Each criterion returns a CriterionResult holding its list of Checks, one
+(name, value, bound) triple per measured quantity; a check passes when
+value <= bound, and the criterion passes when every check does.  Boolean
+conditions enter as violation counts with bound 0.  One criterion (5b) is
+flagged ``expected_failure``: the ladder-pattern bilinears and the truncated
+linear combinations of T+/T- cannot agree on a finite mode set, because the
+combination matrices have nonzero trace -(gamma/Lambda) m(2m-1)/4 while any
+similarity image of the strictly off-diagonal ladder pattern is traceless.
+The check is still executed and reported honestly.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -21,22 +25,52 @@ from . import metric as mt
 from . import operators as op
 from . import figure as fg
 from . import thermo as th
+from .fock import _max_abs
 from .params import make_params, mode_energy
 
-__all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
+__all__ = ["Check", "CriterionResult", "run_criterion", "run_all", "CRITERIA"]
+
+# Golden output of the default figure: any change to these bytes must be
+# justified by the largest relative change per CSV column.
+FIGURE_CSV_BYTES = 377_704
+FIGURE_CSV_SHA256 = "fc508d1720b52388400898444dbe5b549dd89b7c4fe24ec3ad15277b5c2c75b0"
 
 
-@dataclass
+@dataclass(frozen=True)
+class Check:
+    """One measured quantity against its bound; passes when value <= bound."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound)   # NaN fails
+
+    def __str__(self) -> str:
+        return f"{self.name}: {self.value:.4g} (<= {self.bound:g})"
+
+
+@dataclass(frozen=True)
 class CriterionResult:
     cid: str
     name: str
-    passed: bool
-    detail: str
+    checks: tuple
     expected_failure: bool = False
 
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
-def _result(cid, name, ok, detail, expected_failure=False):
-    return CriterionResult(cid=cid, name=name, passed=bool(ok), detail=detail,
+    @property
+    def detail(self) -> str:
+        return "; ".join(str(c) for c in self.checks)
+
+
+def _result(cid, name, checks, expected_failure=False):
+    return CriterionResult(cid=cid, name=name,
+                           checks=tuple(Check(*c) for c in checks),
                            expected_failure=expected_failure)
 
 
@@ -54,9 +88,10 @@ def criterion_1():
         gaps = np.diff(ev)
         worst_gap = max(worst_gap, float(np.abs(gaps - p.lambda_scale).max()
                                          / p.lambda_scale))
-    ok = worst_eig <= 1e-8 and worst_gap <= 1e-8
-    return _result("1", "spectrum vs analytic ladder (M=100)", ok,
-                   f"eig rel {worst_eig:.2e}, gap rel {worst_gap:.2e} (<= 1e-8)")
+    return _result("1", "spectrum vs analytic ladder (M=100)", [
+        ("eigenvalues (relative)", worst_eig, 1e-8),
+        ("gaps vs Lambda (relative)", worst_gap, 1e-8),
+    ])
 
 
 # -- 2 ---------------------------------------------------------------------
@@ -71,11 +106,11 @@ def criterion_2():
     res_r = np.linalg.norm(H @ r - lam1 * r) / np.linalg.norm(r)
     res_l = np.linalg.norm(H.T @ l - lam1 * l) / np.linalg.norm(l)
     sys = op.build_biorthogonal(p, M, 5)
-    gram = sys.gram_defect()
-    ok = res_r <= 1e-10 and res_l <= 1e-10 and gram <= 1e-8
-    return _result("2", "seed vectors + biorthogonal Gram (M=60)", ok,
-                   f"residuals {res_r:.2e}/{res_l:.2e} (<= 1e-10), "
-                   f"Gram defect {gram:.2e} (<= 1e-8)")
+    return _result("2", "seed vectors + biorthogonal Gram (M=60)", [
+        ("right seed residual", res_r, 1e-10),
+        ("left seed residual", res_l, 1e-10),
+        ("Gram defect", sys.gram_defect(), 1e-8),
+    ])
 
 
 # -- 3 ---------------------------------------------------------------------
@@ -86,27 +121,28 @@ def _relative_residual(R, *scales):
     return float(np.abs(R[:n, :n]).max() / scale[:n, :n].max())
 
 
-def criterion_3():
-    """Metric identities at gamma = 3/5, M = 60 (interior, scale-relative);
-    gamma = 0 collapses the metric to the exact identity."""
-    p = make_params(0.6)
-    M, n = 60, 30
+def criterion_3(gamma=0.6, M=60, tol=1e-8):
+    """Metric identities at (gamma, M) on the leading half block (products
+    scale-relative, conjugations absolute); gamma = 0 collapses the metric
+    to the exact identity."""
+    p = make_params(gamma)
+    n = M // 2
     met = mt.build_metric(p, M)
     H = op.build_hamiltonian(p, M).entries
     T0, Tp, Tm = (t.entries for t in op.build_t_operators(p, M))
-    herm = _relative_residual(met.d2 @ H - H.T @ met.d2,
-                              (met.d2, H), (H.T, met.d2))
-    adj = _relative_residual(met.d2 @ Tp - Tm.T @ met.d2,
-                             (met.d2, Tp), (Tm.T, met.d2))
-    conj = 0.0
+    checks = [
+        ("D2 H - H^T D2 (interior, relative)",
+         _relative_residual(met.d2 @ H - H.T @ met.d2, (met.d2, H), (H.T, met.d2)), tol),
+        ("D2 T+ - T-^T D2 (interior, relative)",
+         _relative_residual(met.d2 @ Tp - Tm.T @ met.d2, (met.d2, Tp), (Tm.T, met.d2)), tol),
+    ]
     for which, T in (("S0", T0), ("Splus", Tp), ("Sminus", Tm)):
         C = mt.conjugate_generator(p, M, which).entries
-        conj = max(conj, float(np.abs(C[:n, :n] - T[:n, :n]).max()))
+        checks.append((f"conjugated {which} vs T (interior, max)",
+                       float(np.abs(C[:n, :n] - T[:n, :n]).max()), tol))
     ident = float(np.abs(mt.build_metric(make_params(0.0), M).d2 - np.eye(M)).max())
-    ok = herm <= 1e-8 and adj <= 1e-8 and conj <= 1e-8 and ident == 0.0
-    return _result("3", "metric: Hermitization, T-adjointness, conjugations", ok,
-                   f"rel resid {herm:.2e}/{adj:.2e}, conj {conj:.2e} "
-                   f"(<= 1e-8), gamma=0 identity {ident:.1e}")
+    checks.append(("gamma=0 metric vs identity", ident, 0.0))
+    return _result("3", "metric: Hermitization, T-adjointness, conjugations", checks)
 
 
 # -- 4 ---------------------------------------------------------------------
@@ -119,43 +155,30 @@ def _fock_frame(gamma=0.6, m=6):
     return p, space, bio, pf
 
 
-def _max_abs(M):
-    M = sp.coo_matrix(M)
-    return float(np.abs(M.data).max()) if M.nnz else 0.0
-
-
-def criterion_4():
-    """Fock algebra at m = 6, gamma = 3/5: canonical and pseudo-fermion
+def criterion_4(gamma=0.6, m=6, tol=1e-10):
+    """Fock algebra at (gamma, m): canonical and pseudo-fermion
     anticommutators, diagonal form, single-particle restriction."""
-    p, space, bio, pf = _fock_frame()
-    m, I = space.modes, sp.identity(space.dimension)
-    car = 0.0
-    for i in range(1, m + 1):
-        ci_d = fk.creation_op(space, i)
-        for j in range(1, m + 1):
-            cj = fk.annihilation_op(space, j)
-            A = fk.anticommutator(ci_d, cj)
-            if i == j:
-                A = A - I
-            car = max(car, _max_abs(A))
-            car = max(car, _max_abs(ci_d.matrix @ fk.creation_op(space, j).matrix
-                                    + fk.creation_op(space, j).matrix @ ci_d.matrix))
-    pf_car = 0.0
+    p, space, bio, pf = _fock_frame(gamma, m)
+    I = sp.identity(space.dimension)
+    car, pf_car = 0.0, 0.0
     for i in range(m):
+        ci_d = fk.creation_op(space, i + 1)
         for j in range(m):
-            A = pf.d_dag[i].matrix @ pf.d[j].matrix + pf.d[j].matrix @ pf.d_dag[i].matrix
-            if i == j:
-                A = A - I
-            pf_car = max(pf_car, _max_abs(A))
-    diag = fk.diagonal_form_residual(space, p, pf)
-    Hf = fk.second_quantize(space, op.build_hamiltonian(p, m).entries).matrix
+            delta = I if i == j else 0
+            car = max(car,
+                      _max_abs(fk.anticommutator(ci_d, fk.annihilation_op(space, j + 1)) - delta),
+                      _max_abs(fk.anticommutator(ci_d, fk.creation_op(space, j + 1))))
+            pf_car = max(pf_car, _max_abs(fk.anticommutator(pf.d_dag[i], pf.d[j]) - delta))
+    H = op.build_hamiltonian(p, m).entries
+    Hf = fk.second_quantize(space, H).matrix
     a1 = space.sector(1)
-    restr = Hf[np.ix_(a1, a1)].toarray().real
-    a1_gap = float(np.abs(restr - op.build_hamiltonian(p, m).entries).max())
-    ok = car <= 1e-13 and pf_car <= 1e-10 and diag <= 1e-10 and a1_gap == 0.0
-    return _result("4", "Fock algebra + diagonal form (m=6)", ok,
-                   f"CAR {car:.1e}, pseudo-CAR {pf_car:.2e} (<= 1e-10), "
-                   f"diag form {diag:.2e} (<= 1e-10), A1 restriction {a1_gap:.1e}")
+    a1_gap = float(np.abs(Hf[np.ix_(a1, a1)].toarray().real - H).max())
+    return _result("4", f"Fock algebra + diagonal form (m={m})", [
+        ("canonical anticommutators", car, 1e-13),
+        ("pseudo-fermion anticommutators", pf_car, tol),
+        ("diagonal-form residual", fk.diagonal_form_residual(space, p, pf), tol),
+        ("A1 restriction vs H", a1_gap, 0.0),
+    ])
 
 
 # -- 5 ---------------------------------------------------------------------
@@ -173,15 +196,15 @@ def criterion_5a():
     T0c, Tmc, Tpc = fk.t_operators_combination(space, p)
     t0_gap = float(np.abs(_a1_matrix(space, T0b) - _a1_matrix(space, T0c)).max())
     psi1 = np.zeros(space.dimension, dtype=complex)
-    a1 = space.sector(1)
     for k in range(space.modes):
         psi1[1 << k] = bio.right_vectors[k, 0]
     v = Tpb.matrix @ psi1
     Hf = fk.second_quantize(space, op.build_hamiltonian(p, space.modes).entries).matrix
     raising = float(np.linalg.norm(Hf @ v - bio.eigenvalues[1] * v) / np.linalg.norm(v))
-    ok = t0_gap <= 1e-9 and raising <= 1e-9
-    return _result("5a", "T0 bilinear = combination; T+ raising (m=6)", ok,
-                   f"T0 gap {t0_gap:.2e}, raising residual {raising:.2e} (<= 1e-9)")
+    return _result("5a", "T0 bilinear = combination; T+ raising (m=6)", [
+        ("T0 gap on A1", t0_gap, 1e-9),
+        ("T+ raising residual", raising, 1e-9),
+    ])
 
 
 def criterion_5b():
@@ -198,11 +221,11 @@ def criterion_5b():
         float(np.abs(_a1_matrix(space, Tpb) - _a1_matrix(space, Tpc)).max()),
         float(np.abs(_a1_matrix(space, Tmb) - _a1_matrix(space, Tmc)).max()),
     )
-    ok = gap <= 1e-9
-    return _result("5b", "T+/T- bilinear vs combination (m=6)", ok,
-                   f"gap {gap:.2e} (<= 1e-9 unattainable: combination trace "
-                   f"{-p.gamma / p.lambda_scale * 6 * 11 / 4:.3f} vs traceless pattern)",
-                   expected_failure=True)
+    trace = -p.gamma / p.lambda_scale * 6 * 11 / 4
+    return _result("5b", "T+/T- bilinear vs combination (m=6)", [
+        (f"T+/T- gap on A1 (unattainable: combination trace {trace:.3f} "
+         f"vs traceless pattern)", gap, 1e-9),
+    ], expected_failure=True)
 
 
 # -- 6 ---------------------------------------------------------------------
@@ -224,12 +247,12 @@ def criterion_6():
     for a in range(n):
         for b in range(n):
             G[a, b] = fk.physical_inner_fock(space, W, wedges[a], wedges[b], 2)
-    off = float(np.abs(G - np.diag(np.diag(G))).max())
-    diag_min = float(np.real(np.diag(G)).min())
-    diag_imag = float(np.abs(np.imag(np.diag(G))).max())
-    ok = off <= 1e-9 and diag_min > 0 and diag_imag <= 1e-9
-    return _result("6", "physical inner product Gram on A2 (m=6)", ok,
-                   f"off-diag {off:.2e} (<= 1e-9), min diag {diag_min:.6f} > 0")
+    diag = np.diag(G)
+    return _result("6", "physical inner product Gram on A2 (m=6)", [
+        ("off-diagonal", float(np.abs(G - np.diag(diag)).max()), 1e-9),
+        ("non-positive diagonal entries", int(np.count_nonzero(~(diag.real > 0))), 0),
+        ("diagonal imaginary part", float(np.abs(diag.imag).max()), 1e-9),
+    ])
 
 
 # -- 7 ---------------------------------------------------------------------
@@ -267,10 +290,11 @@ def criterion_7():
         worst_grad = max(worst_grad,
                          abs(e_fd - tp.energy) / max(1e-30, abs(tp.energy)),
                          abs(n_fd - tp.number) / max(1e-30, abs(tp.number)))
-    ok = worst_ident <= 1e-9 and worst_modes <= 1e-9 and worst_grad <= 1e-5
-    return _result("7", "entropy identities + log Z gradients (20 points)", ok,
-                   f"identity {worst_ident:.2e}, per-mode {worst_modes:.2e} "
-                   f"(<= 1e-9), gradients {worst_grad:.2e} (<= 1e-5)")
+    return _result("7", "entropy identities + log Z gradients (20 points)", [
+        ("entropy identity", worst_ident, 1e-9),
+        ("per-mode entropy", worst_modes, 1e-9),
+        ("log Z gradients (relative)", worst_grad, 1e-5),
+    ])
 
 
 # -- 8 ---------------------------------------------------------------------
@@ -279,40 +303,41 @@ def criterion_8():
     """Euler-Maclaurin accuracy and its monotone improvement at high T."""
     p = make_params(0.6)
     gaps_n, gaps_e = {}, {}
-    for beta in (0.2, 0.08, 0.04, 0.02, 0.01, 0.001):
+    betas = (0.2, 0.08, 0.04, 0.02, 0.01, 0.001)
+    for beta in betas:
         ex = th.exact_expectations(p, beta, 0.0)
         em = th.em_expectations(p, beta, 0.0)
         gaps_n[beta] = abs(em.number - ex.number) / ex.number
         gaps_e[beta] = abs(em.energy - ex.energy) / ex.energy
-    seq = [gaps_n[b] for b in (0.2, 0.08, 0.04, 0.02, 0.01, 0.001)]
-    monotone = all(a >= b for a, b in zip(seq, seq[1:]))
-    ok = (gaps_e[0.01] <= 1e-3 and gaps_n[0.01] <= 1e-3
-          and gaps_e[0.001] <= 1e-4 and gaps_n[0.001] <= 1e-4 and monotone)
-    return _result("8", "Euler-Maclaurin vs exact sums", ok,
-                   f"beta=0.01: E {gaps_e[0.01]:.2e} N {gaps_n[0.01]:.2e} (<= 1e-3); "
-                   f"beta=0.001: E {gaps_e[0.001]:.2e} N {gaps_n[0.001]:.2e} (<= 1e-4); "
-                   f"monotone={monotone}")
+    seq = [gaps_n[b] for b in betas]
+    rises = sum(not a >= b for a, b in zip(seq, seq[1:]))
+    return _result("8", "Euler-Maclaurin vs exact sums", [
+        ("E gap at beta=0.01 (relative)", gaps_e[0.01], 1e-3),
+        ("N gap at beta=0.01 (relative)", gaps_n[0.01], 1e-3),
+        ("E gap at beta=0.001 (relative)", gaps_e[0.001], 1e-4),
+        ("N gap at beta=0.001 (relative)", gaps_n[0.001], 1e-4),
+        ("steps where the N gap grows as beta falls", rises, 0),
+    ])
 
 
 # -- 9 ---------------------------------------------------------------------
 
 def criterion_9():
-    """Figure regeneration: curve counts, containment, determinism."""
+    """Figure regeneration: curve counts, containment, golden bytes."""
     config = fg.default_figure_config()
     records = fg.figure_records(config)
     n_curve_pts = config["mu_sweep"]["count"]
     expected = (len(config["beta_list"]) + len(config["mu_list"])) * n_curve_pts
     p = make_params(config["gamma"])
-    boundary = fg.hull_boundary(p, config["n_max"])
-    report = fg.containment_check(records, boundary)
-    csv1 = fg.records_to_csv(records)
-    csv2 = fg.records_to_csv(fg.figure_records(config))
-    min_margin = min(report.margins)
-    ok = (len(records) == expected and report.ok and csv1 == csv2)
-    return _result("9", "figure curves, containment, determinism", ok,
-                   f"{len(records)} records (expect {expected}), "
-                   f"min margin {min_margin:.2e} (>= -1e-9), "
-                   f"byte-deterministic={csv1 == csv2}")
+    report = fg.containment_check(records, fg.hull_boundary(p, config["n_max"]))
+    blob = fg.records_to_csv(records).encode("utf-8")
+    return _result("9", "figure curves, containment, golden bytes", [
+        (f"record count off {expected}", abs(len(records) - expected), 0),
+        ("points below the hull", len(report.violations), 0),
+        (f"CSV size off {FIGURE_CSV_BYTES} bytes", abs(len(blob) - FIGURE_CSV_BYTES), 0),
+        ("CSV sha256 differs from the pinned one",
+         int(hashlib.sha256(blob).hexdigest() != FIGURE_CSV_SHA256), 0),
+    ])
 
 
 # -- 10 --------------------------------------------------------------------
@@ -329,21 +354,20 @@ def criterion_10():
     e1 = np.zeros(M)
     e1[0] = 1.0
     seeds = max(np.abs(r - e1).max(), np.abs(l - e1).max())
-    space = fk.build_fock(m)
-    bio = op.dense_biorthogonal(p, m)
-    pf = fk.build_pseudo_fermions(space, bio)
+    _, space, bio, pf = _fock_frame(0.0, m)
     d_eq_c = 0.0
     for i in range(m):
         d_eq_c = max(d_eq_c, _max_abs(pf.d_dag[i].matrix
                                       - fk.creation_op(space, i + 1).matrix))
         d_eq_c = max(d_eq_c, _max_abs(pf.d[i].matrix
                                       - fk.annihilation_op(space, i + 1).matrix))
-    diag = fk.diagonal_form_residual(space, p, pf)
-    ok = (t_eq_s == 0.0 and d2_eq == 0.0 and seeds == 0.0
-          and d_eq_c <= 1e-12 and diag <= 1e-12)
-    return _result("10", "gamma = 0 degenerate collapse", ok,
-                   f"T=S {t_eq_s:.1e}, D2=I {d2_eq:.1e}, seeds {seeds:.1e}, "
-                   f"d=c {d_eq_c:.1e}, diag {diag:.1e} (round-off)")
+    return _result("10", "gamma = 0 degenerate collapse", [
+        ("T vs S", t_eq_s, 0.0),
+        ("D2 vs identity", d2_eq, 0.0),
+        ("seed vectors vs e1", seeds, 0.0),
+        ("d vs c (round-off)", d_eq_c, 1e-12),
+        ("diagonal-form residual (round-off)", fk.diagonal_form_residual(space, p, pf), 1e-12),
+    ])
 
 
 CRITERIA = {

@@ -52,6 +52,7 @@ class ThermoPoint:
     number: float
     entropy: float
     method: str
+    gamma: float
     n_modes: int | None = None
 
 
@@ -162,7 +163,8 @@ def exact_expectations(params: ModelParams, beta: float, mu: float,
     entropy = beta * (energy - mu * number) + log_z
     return ThermoPoint(beta=beta, mu=mu, zeta=zeta, zeta_prime=zp,
                        log_z=log_z, energy=energy, number=number,
-                       entropy=entropy, method="exact", n_modes=K)
+                       entropy=entropy, method="exact", gamma=params.gamma,
+                       n_modes=K)
 
 
 def _em_terms(zp: float):
@@ -212,4 +214,5 @@ def em_expectations(params: ModelParams, beta: float, mu: float) -> ThermoPoint:
     entropy = beta * (energy - mu * number) + log_z
     return ThermoPoint(beta=beta, mu=mu, zeta=zeta, zeta_prime=zp,
                        log_z=log_z, energy=energy, number=number,
-                       entropy=entropy, method="euler_maclaurin", n_modes=None)
+                       entropy=entropy, method="euler_maclaurin", gamma=params.gamma,
+                       n_modes=None)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nhfermi import figure as fg
 from nhfermi.cli import main
 
 
@@ -16,7 +17,7 @@ def test_spectrum_command(capsys):
 def test_metric_check_command(capsys):
     assert main(["metric-check", "--gamma", "0.6", "--truncation", "40"]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    assert out.count("PASS") == len(out.splitlines()) == 6
 
 
 def test_metric_check_fails_at_impossible_tol(capsys):
@@ -83,3 +84,47 @@ def test_figure_command_json(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def _small_figure_config(tmp_path, **overrides):
+    cfg = {"gamma": 0.6, "beta_list": [0.05], "mu_list": [],
+           "mu_sweep": {"min": -1.0, "max": 1.0, "count": 3},
+           "n_max": 40, "method": "exact", **overrides}
+    path = tmp_path / "fig.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["n_max", "beta", "gamma", "modes", "metric",
+                                  "missing", "malformed"])
+def test_bad_input_exits_2(case, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    (tmp_path / "bad.json").write_text("{not json")
+    figure = ["figure", "--out", str(out), "--config"]
+    argv = {
+        "n_max": figure + [_small_figure_config(tmp_path, n_max=3)],
+        "beta": ["thermo", "--beta", "-1", "--mu", "0"],
+        "gamma": ["spectrum", "--gamma", "nan"],
+        "modes": ["fock-check", "--modes", "20"],
+        "metric": ["metric-check", "--gamma", "2"],
+        "missing": figure + [str(tmp_path / "missing.json")],
+        "malformed": figure + [str(tmp_path / "bad.json")],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("nhfermi: error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_figure_violation_exits_1_without_writing(tmp_path, monkeypatch, capsys):
+    def violating(points, boundary, tol=1e-9):
+        return fg.ContainmentReport(ok=False, margins=[-1.0] * len(points),
+                                    violations=[(0.05, 0.0, -1.0)])
+
+    monkeypatch.setattr(fg, "containment_check", violating)
+    out = tmp_path / "out.csv"
+    assert main(["figure", "--config", _small_figure_config(tmp_path),
+                 "--out", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert not out.exists()

@@ -23,14 +23,9 @@ from nhfermi import (
     second_quantize,
     t_operators_combination,
 )
-from nhfermi.fock import ladder_couplings, sector_indices
+from nhfermi.fock import _max_abs as max_abs, ladder_couplings, sector_indices
 
 P35 = make_params(0.6)
-
-
-def max_abs(M):
-    M = sp.coo_matrix(M)
-    return float(np.abs(M.data).max()) if M.nnz else 0.0
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +88,13 @@ class TestLadderOperators:
         space = build_fock(3)
         with pytest.raises(ValueError):
             creation_op(space, 4)
+
+    def test_cached_objects_read_only(self):
+        space = build_fock(4)
+        C = creation_op(space, 2).matrix
+        for arr in (C.data, C.indices, C.indptr, space.sector(2)):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 class TestSecondQuantize:

@@ -16,7 +16,6 @@ from nhfermi import (
     ladder_sum_exp,
     make_params,
     physical_inner,
-    sym_exp,
 )
 
 P35 = make_params(0.6)
@@ -27,37 +26,6 @@ def interior_rel(R, *scales):
     s = sum(np.abs(a) @ np.abs(b) for a, b in scales)
     n = R.shape[0] // 2
     return np.abs(R[:n, :n]).max() / s[:n, :n].max()
-
-
-class TestSymExp:
-    def test_zero_matrix(self):
-        assert np.array_equal(sym_exp(np.zeros((4, 4)), 3.0), np.eye(4))
-
-    def test_diagonal_spectral_mapping(self):
-        A = np.diag([1.0, -1.0])
-        E = sym_exp(A, 1.0)
-        assert np.allclose(np.diag(E), [np.e, 1 / np.e], rtol=1e-14)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            sym_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-    def test_matches_scaling_and_squaring_when_well_conditioned(self):
-        # moderate exponent scale: both algorithms keep full precision
-        S0, Sp, Sm = (x.entries for x in build_generators(40))
-        K = Sp + Sm
-        t = 0.25 * P35.alpha
-        A = sym_exp(K, t)
-        B = scipy.linalg.expm(t * K)
-        n = 20
-        scale = np.abs(B[:n, :n]).max()
-        assert np.abs((A - B)[:n, :n]).max() / scale < 1e-12
-
-    def test_result_spd(self):
-        S0, Sp, Sm = (x.entries for x in build_generators(12))
-        E = sym_exp(Sp + Sm, 0.5)
-        assert np.abs(E - E.T).max() == 0.0
-        assert np.linalg.eigvalsh(E).min() > 0
 
 
 class TestLadderSumExp:
