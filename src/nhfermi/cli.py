@@ -10,6 +10,7 @@ import sys
 from . import operators as op
 from . import figure as fg
 from . import thermo as th
+from .errors import NumericalError, TruncationError
 from .params import make_params, mode_energy
 from .selfcheck import criterion_3, criterion_4, run_all
 
@@ -145,11 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit codes: 0 success, 1 a check failed,
-    2 bad input or an unreadable/unwritable file (one line on stderr)."""
+    2 bad input, a numerical failure or an unreadable/unwritable file
+    (one line on stderr)."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericalError, TruncationError) as exc:
         print(f"nhfermi: error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,7 @@ __all__ = [
 
 CSV_COLUMNS = ("method", "gamma", "beta", "mu", "zeta_prime",
                "log_z", "energy", "number", "entropy")
+CONFIG_KEYS = ("gamma", "beta_list", "mu_list", "mu_sweep", "n_max")
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,8 @@ def generate_curve(spec: CurveSpec, tail_tol: float = 1e-12):
         beta, mu = ((spec.fixed_value, value) if spec.mode == "fixed_beta"
                     else (value, spec.fixed_value))
         for method in methods:
-            try:
-                out.append(exact_expectations(params, beta, mu, tail_tol=tail_tol)
-                           if method == "exact" else em_expectations(params, beta, mu))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"curve point failed at beta={beta}, mu={mu}, method={method}: {exc}"
-                ) from exc
+            out.append(exact_expectations(params, beta, mu, tail_tol=tail_tol)
+                       if method == "exact" else em_expectations(params, beta, mu))
     return out
 
 
@@ -168,8 +164,14 @@ def figure_records(config: dict, tail_tol: float = 1e-12):
     Fixed-beta (dashed) curves iterate beta_list with the dense mu sweep;
     the beta matching low_beta_mu_sweep uses that special mu range instead.
     Fixed-mu (full) curves iterate mu_list over a geometric beta grid
-    spanning beta_list with the mu-sweep point count.
+    spanning beta_list with the mu-sweep point count.  Raises ValueError if
+    the config is not a dict or lacks one of CONFIG_KEYS.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"figure config must be an object, got {type(config).__name__}")
+    for key in CONFIG_KEYS:
+        if key not in config:
+            raise ValueError(f"figure config lacks {key!r}")
     gamma = float(config["gamma"])
     beta_list = [float(b) for b in config["beta_list"]]
     mu_list = [float(m) for m in config["mu_list"]]

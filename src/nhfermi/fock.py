@@ -327,8 +327,8 @@ def joint_spectrum(params: ModelParams, m_modes: int, n_max: int):
     energy at fixed number n is Lambda n(2n-1)/4, attained by filling the
     lowest n modes.
     """
-    if not 1 <= m_modes <= 20:
-        raise ValueError(f"m_modes must be in 1..20, got {m_modes}")
+    if not 1 <= m_modes <= MAX_MODES:
+        raise ValueError(f"m_modes must be in 1..{MAX_MODES}, got {m_modes}")
     if not 0 <= n_max <= m_modes:
         raise ValueError(f"n_max must be in 0..{m_modes}, got {n_max}")
     energies = np.array([mode_energy(params, k) for k in range(1, m_modes + 1)])

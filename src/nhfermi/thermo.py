@@ -37,6 +37,8 @@ _PI2_6 = math.pi * math.pi / 6.0
 
 # sum_{k<=K} log(1+e^{-beta*Lambda*k-zeta'}) is evaluated in blocks this long
 _CHUNK = 1 << 16
+# Exact sums refuse cutoffs past this many modes (about 15 s of summing)
+_MAX_EXACT_MODES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,19 @@ def _mode_cutoff(bl: float, zp: float, tail_tol: float) -> int:
 
     The tail of every Fermi sum past mode K is bounded by the geometric
     estimate e^{-(bl (K+1) + zp)} * max(1, lam_{K+1}) / (1 - e^{-bl})^2,
-    which covers log Z, N and the lambda-weighted E sum alike.
+    which covers log Z, N and the lambda-weighted E sum alike.  Raises
+    ValueError when K would exceed _MAX_EXACT_MODES.
     """
     one_minus = -math.expm1(-bl)  # 1 - e^{-bl}
     log_tol = math.log(tail_tol) + 2.0 * math.log(one_minus)
-    K = max(1, int((-zp - log_tol) / bl) + 1)
+    estimate = (-zp - log_tol) / bl
+    K = max(1, int(min(estimate, _MAX_EXACT_MODES)) + 1)
     for _ in range(64):
+        if K > _MAX_EXACT_MODES:
+            raise ValueError(
+                f"exact sum needs K >= {max(K, estimate):.4g} modes at "
+                f"beta*Lambda={bl:.4g}, more than {_MAX_EXACT_MODES}; "
+                f"use the Euler-Maclaurin method (--method em)")
         bound = -(bl * (K + 1) + zp) + math.log(max(1.0, bl * (K + 1))) - 2.0 * math.log(one_minus)
         if bound < math.log(tail_tol):
             return K

@@ -15,9 +15,11 @@ def test_spectrum_command(capsys):
 
 
 def test_metric_check_command(capsys):
-    assert main(["metric-check", "--gamma", "0.6", "--truncation", "40"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == len(out.splitlines()) == 6
+    # gamma = 0.9 lies past the point where a 2M intermediate sum fails
+    for gamma in ("0.6", "0.9"):
+        assert main(["metric-check", "--gamma", gamma, "--truncation", "40"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == len(out.splitlines()) == 6
 
 
 def test_metric_check_fails_at_impossible_tol(capsys):
@@ -96,10 +98,15 @@ def _small_figure_config(tmp_path, **overrides):
 
 
 @pytest.mark.parametrize("case", ["n_max", "beta", "gamma", "modes", "metric",
-                                  "missing", "malformed"])
+                                  "missing", "malformed", "no_gamma", "not_object",
+                                  "count", "tiny_beta"])
 def test_bad_input_exits_2(case, tmp_path, capsys):
     out = tmp_path / "out.csv"
     (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "no_gamma.json").write_text(json.dumps(
+        {"beta_list": [0.05], "mu_list": [], "n_max": 40,
+         "mu_sweep": {"min": -1.0, "max": 1.0, "count": 3}}))
     figure = ["figure", "--out", str(out), "--config"]
     argv = {
         "n_max": figure + [_small_figure_config(tmp_path, n_max=3)],
@@ -109,6 +116,10 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         "metric": ["metric-check", "--gamma", "2"],
         "missing": figure + [str(tmp_path / "missing.json")],
         "malformed": figure + [str(tmp_path / "bad.json")],
+        "no_gamma": figure + [str(tmp_path / "no_gamma.json")],
+        "not_object": figure + [str(tmp_path / "list.json")],
+        "count": ["spectrum", "--truncation", "10", "--count", "200"],
+        "tiny_beta": ["thermo", "--beta", "1e-300", "--mu", "0"],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -23,7 +23,7 @@ from nhfermi import (
     second_quantize,
     t_operators_combination,
 )
-from nhfermi.fock import _max_abs as max_abs, ladder_couplings, sector_indices
+from nhfermi.fock import MAX_MODES, _max_abs as max_abs, ladder_couplings, sector_indices
 
 P35 = make_params(0.6)
 
@@ -340,7 +340,7 @@ class TestJointSpectrum:
 
     def test_mode_cap(self):
         with pytest.raises(ValueError):
-            joint_spectrum(P35, 21, 1)
+            joint_spectrum(P35, MAX_MODES + 1, 1)
         with pytest.raises(ValueError):
             joint_spectrum(P35, 5, 6)
 

@@ -118,10 +118,12 @@ class TestConjugateGenerator:
 
     @pytest.mark.parametrize("which,pick", [("S0", 0), ("Splus", 1), ("Sminus", 2)])
     def test_matches_t_operator_on_interior(self, which, pick):
+        # gamma = 1.2 lies past the point where a 2M intermediate sum fails
         M, n = 40, 20
-        C = conjugate_generator(P35, M, which)
-        T = build_t_operators(P35, M)[{0: 0, 1: 1, 2: 2}[pick]].entries
-        assert np.abs(C.entries[:n, :n] - T[:n, :n]).max() < 1e-10
+        for p in (P35, make_params(1.2)):
+            C = conjugate_generator(p, M, which)
+            T = build_t_operators(p, M)[pick].entries
+            assert np.abs(C.entries[:n, :n] - T[:n, :n]).max() < 1e-10, p.gamma
 
     def test_bad_generator_name(self):
         with pytest.raises(ValueError):
@@ -162,11 +164,12 @@ class TestHermitized:
         assert np.abs((B - B.T)[:n, :n]).max() / scale < 1e-10
 
     def test_interior_is_diagonal_ladder(self):
-        # the conjugation lands on Lambda * S0
+        # the conjugation lands on Lambda * S0, also at gamma = 1.2
         M, n = 40, 20
-        B = hermitized_hamiltonian(P35, M)
-        D = P35.lambda_scale * (4 * np.arange(1, M + 1) - 3) / 4.0
-        assert np.abs((B - np.diag(D))[:n, :n]).max() < 1e-9
+        for p in (P35, make_params(1.2)):
+            B = hermitized_hamiltonian(p, M)
+            D = p.lambda_scale * (4 * np.arange(1, M + 1) - 3) / 4.0
+            assert np.abs((B - np.diag(D))[:n, :n]).max() < 1e-10, p.gamma
 
     def test_gamma_zero(self):
         B = hermitized_hamiltonian(make_params(0.0), 8)
