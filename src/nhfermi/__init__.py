@@ -57,7 +57,6 @@ from .thermo import (
     ThermoPoint,
     dilog,
     em_expectations,
-    em_log_z,
     exact_expectations,
     exact_log_z,
 )

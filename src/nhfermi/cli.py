@@ -59,8 +59,10 @@ def _cmd_thermo(args) -> int:
         print(f"  log Z   = {tp.log_z!r}")
         print(f"  energy  = {tp.energy!r}")
         print(f"  number  = {tp.number!r}")
-        print(f"  entropy = {tp.entropy!r}"
-              + (f"  (modes summed: {tp.n_modes})" if tp.n_modes else ""))
+        print(f"  entropy = {tp.entropy!r}")
+        if tp.tail_bound is not None:
+            print(f"  modes summed directly: {tp.n_modes}, "
+                  f"relative tail bound: {tp.tail_bound:.3g}")
     return 0
 
 
@@ -130,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--beta", type=float, required=True)
     tm.add_argument("--mu", type=float, required=True)
     tm.add_argument("--method", choices=("exact", "em", "both"), default="exact")
-    tm.add_argument("--tail-tol", type=float, default=1e-12)
+    tm.add_argument("--tail-tol", type=float, default=th.TAIL_TOL,
+                    help="remainder bound of each exact sum, relative to the sum")
     tm.set_defaults(fn=_cmd_thermo)
 
     fig = sub.add_parser("figure", help="emit the curve-family dataset")

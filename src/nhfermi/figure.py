@@ -85,7 +85,7 @@ class ContainmentReport:
     violations: list = field(default_factory=list)
 
 
-def generate_curve(spec: CurveSpec, tail_tol: float = 1e-12):
+def generate_curve(spec: CurveSpec):
     """One ThermoPoint per sweep value per method, in sweep order."""
     params = make_params(spec.gamma)
     methods = ("exact", "euler_maclaurin") if spec.method == "both" else (spec.method,)
@@ -94,7 +94,7 @@ def generate_curve(spec: CurveSpec, tail_tol: float = 1e-12):
         beta, mu = ((spec.fixed_value, value) if spec.mode == "fixed_beta"
                     else (value, spec.fixed_value))
         for method in methods:
-            out.append(exact_expectations(params, beta, mu, tail_tol=tail_tol)
+            out.append(exact_expectations(params, beta, mu)
                        if method == "exact" else em_expectations(params, beta, mu))
     return out
 
@@ -158,20 +158,51 @@ def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def figure_records(config: dict, tail_tol: float = 1e-12):
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_config(config) -> None:
+    """Raise ValueError naming the first key of a figure config with the
+    wrong shape."""
+    if not isinstance(config, dict):
+        raise ValueError(f"figure config must be an object, got {type(config).__name__}")
+    for key in CONFIG_KEYS:
+        if key not in config:
+            raise ValueError(f"figure config lacks {key!r}")
+    if not _is_number(config["gamma"]):
+        raise ValueError("figure config 'gamma' must be a number")
+    if not isinstance(config["n_max"], int) or isinstance(config["n_max"], bool):
+        raise ValueError("figure config 'n_max' must be an integer")
+    for key in ("beta_list", "mu_list"):
+        values = config[key]
+        if not (isinstance(values, list) and all(_is_number(v) for v in values)):
+            raise ValueError(f"figure config {key!r} must be a list of numbers")
+    if not config["beta_list"]:
+        raise ValueError("figure config 'beta_list' must not be empty")
+    for key, fields in (("mu_sweep", ("min", "max", "count")),
+                        ("low_beta_mu_sweep", ("beta", "min", "max", "count"))):
+        sweep = config.get(key)
+        if key == "low_beta_mu_sweep" and sweep is None:
+            continue
+        if not (isinstance(sweep, dict) and all(_is_number(sweep.get(f)) for f in fields)):
+            raise ValueError(f"figure config {key!r} must be an object with "
+                             f"numeric {', '.join(fields)}")
+
+
+def figure_records(config: dict):
     """All curve points of a figure configuration, in deterministic order.
 
     Fixed-beta (dashed) curves iterate beta_list with the dense mu sweep;
     the beta matching low_beta_mu_sweep uses that special mu range instead.
     Fixed-mu (full) curves iterate mu_list over a geometric beta grid
     spanning beta_list with the mu-sweep point count.  Raises ValueError if
-    the config is not a dict or lacks one of CONFIG_KEYS.
+    the config is not a dict, lacks one of CONFIG_KEYS, or has a key of the
+    wrong shape: beta_list a non-empty list of numbers, mu_list a list of
+    numbers, mu_sweep (and low_beta_mu_sweep when present) an object with
+    numeric min, max and count (and beta).
     """
-    if not isinstance(config, dict):
-        raise ValueError(f"figure config must be an object, got {type(config).__name__}")
-    for key in CONFIG_KEYS:
-        if key not in config:
-            raise ValueError(f"figure config lacks {key!r}")
+    _check_config(config)
     gamma = float(config["gamma"])
     beta_list = [float(b) for b in config["beta_list"]]
     mu_list = [float(m) for m in config["mu_list"]]
@@ -188,13 +219,13 @@ def figure_records(config: dict, tail_tol: float = 1e-12):
             grid = mu_grid
         spec = CurveSpec(gamma=gamma, mode="fixed_beta", fixed_value=beta,
                          sweep=tuple(grid), method=method)
-        records.extend(generate_curve(spec, tail_tol=tail_tol))
+        records.extend(generate_curve(spec))
     lo, hi = min(beta_list), max(beta_list)
     beta_grid = np.array([lo]) if lo == hi else np.geomspace(lo, hi, int(ms["count"]))
     for mu in mu_list:
         spec = CurveSpec(gamma=gamma, mode="fixed_mu", fixed_value=mu,
                          sweep=tuple(beta_grid), method=method)
-        records.extend(generate_curve(spec, tail_tol=tail_tol))
+        records.extend(generate_curve(spec))
     return records
 
 

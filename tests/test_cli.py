@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from nhfermi import figure as fg
+from nhfermi import make_params
 from nhfermi.cli import main
 
 
@@ -40,6 +42,16 @@ def test_thermo_command_both_methods(capsys):
     assert "method=exact" in out and "method=euler_maclaurin" in out
     exact_n = [l for l in out.splitlines() if "number" in l][0]
     assert float(exact_n.split("=")[1]) > 0
+
+
+def test_thermo_command_tiny_beta(capsys):
+    # beta Lambda log Z = pi^2/12 + (beta Lambda/4) log 2 + O((beta Lambda)^2)
+    assert main(["thermo", "--beta", "1e-9", "--mu", "0"]) == 0
+    out = capsys.readouterr().out
+    log_z = float([l for l in out.splitlines() if "log Z" in l][0].split("=")[1])
+    bl = 1e-9 * make_params(0.6).lambda_scale
+    assert abs(bl * log_z - (math.pi**2 / 12 + bl * math.log(2) / 4)) <= 1e-12
+    assert "modes summed directly: 9" in out
 
 
 def test_figure_command_csv(tmp_path, capsys):
@@ -99,7 +111,8 @@ def _small_figure_config(tmp_path, **overrides):
 
 @pytest.mark.parametrize("case", ["n_max", "beta", "gamma", "modes", "metric",
                                   "missing", "malformed", "no_gamma", "not_object",
-                                  "count", "tiny_beta"])
+                                  "count", "tiny_beta", "beta_list_int",
+                                  "sweep_no_min"])
 def test_bad_input_exits_2(case, tmp_path, capsys):
     out = tmp_path / "out.csv"
     (tmp_path / "bad.json").write_text("{not json")
@@ -120,6 +133,9 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         "not_object": figure + [str(tmp_path / "list.json")],
         "count": ["spectrum", "--truncation", "10", "--count", "200"],
         "tiny_beta": ["thermo", "--beta", "1e-300", "--mu", "0"],
+        "beta_list_int": figure + [_small_figure_config(tmp_path, beta_list=5)],
+        "sweep_no_min": figure + [_small_figure_config(
+            tmp_path, mu_sweep={"max": 1.0, "count": 3})],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,12 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from nhfermi import (
+    TruncationError,
     dilog,
     em_expectations,
-    em_log_z,
     exact_expectations,
     exact_log_z,
     make_params,
@@ -139,7 +140,10 @@ class TestExactExpectations:
         tp = exact_expectations(P35, 0.1, 0.5)
         ident = tp.beta * (tp.energy - tp.mu * tp.number) + tp.log_z
         assert tp.entropy == pytest.approx(ident, abs=1e-12)
-        k = np.arange(1, tp.n_modes + 1, dtype=float)
+        # its own cutoff: past it beta lambda_k - beta mu exceeds 45
+        bl = tp.beta * P35.lambda_scale
+        n_modes = math.ceil((max(0.0, tp.beta * tp.mu) + 45.0) / bl) + 50
+        k = np.arange(1, n_modes + 1, dtype=float)
         x = tp.beta * P35.lambda_scale * (4 * k - 3) / 4.0 + tp.zeta
         f = 1.0 / (1.0 + np.exp(np.clip(x, -700, 700)))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -165,17 +169,18 @@ class TestExactExpectations:
 class TestEulerMaclaurin:
     def test_log_z_close_at_high_temperature(self):
         ex = exact_log_z(P35, 0.01, 0.0)
-        assert em_log_z(P35, 0.01, 0.0) == pytest.approx(ex, rel=1e-4)
+        assert em_expectations(P35, 0.01, 0.0).log_z == pytest.approx(ex, rel=1e-4)
 
     def test_degrades_with_beta(self):
-        d_hot = abs(em_log_z(P35, 0.01, 0.0) - exact_log_z(P35, 0.01, 0.0)) \
+        d_hot = abs(em_expectations(P35, 0.01, 0.0).log_z - exact_log_z(P35, 0.01, 0.0)) \
             / exact_log_z(P35, 0.01, 0.0)
-        d_cold = abs(em_log_z(P35, 0.2, 0.0) - exact_log_z(P35, 0.2, 0.0)) \
+        d_cold = abs(em_expectations(P35, 0.2, 0.0).log_z - exact_log_z(P35, 0.2, 0.0)) \
             / exact_log_z(P35, 0.2, 0.0)
         assert d_cold > d_hot
 
     def test_empty_limit(self):
-        assert abs(em_log_z(P35, 0.5, 200.0)) < 1e-60
+        # zeta = 200 at beta = 0.5
+        assert abs(em_expectations(P35, 0.5, -400.0).log_z) < 1e-60
 
     def test_expectations_match_exact_at_high_temperature(self):
         ex = exact_expectations(P35, 0.01, 0.0)
@@ -195,16 +200,17 @@ class TestEulerMaclaurin:
 
     def test_self_consistent_derivatives(self):
         # the analytic E/N of the approximation equal finite differences of
-        # its own log Z
+        # its own log Z at fixed zeta, reached through mu = -zeta/beta
+        def log_z(beta, zeta):
+            return em_expectations(P35, beta, -zeta / beta).log_z
+
         beta, mu = 0.03, 0.4
         em = em_expectations(P35, beta, mu)
         h = 1e-6 * beta
-        e_fd = -(em_log_z(P35, beta + h, em.zeta)
-                 - em_log_z(P35, beta - h, em.zeta)) / (2 * h)
+        e_fd = -(log_z(beta + h, em.zeta) - log_z(beta - h, em.zeta)) / (2 * h)
         assert e_fd == pytest.approx(em.energy, rel=1e-6)
         h = 1e-6
-        n_fd = -(em_log_z(P35, beta, em.zeta + h)
-                 - em_log_z(P35, beta, em.zeta - h)) / (2 * h)
+        n_fd = -(log_z(beta, em.zeta + h) - log_z(beta, em.zeta - h)) / (2 * h)
         assert n_fd == pytest.approx(em.number, rel=1e-6)
 
     def test_gap_shrinks_with_beta_lambda(self):
@@ -217,7 +223,7 @@ class TestEulerMaclaurin:
 
     def test_beta_domain(self):
         with pytest.raises(ValueError):
-            em_log_z(P35, 0.0, 0.0)
+            em_expectations(P35, 0.0, 0.0)
         with pytest.raises(ValueError):
             em_expectations(P35, -0.1, 0.0)
 
@@ -237,5 +243,76 @@ class TestOverflowPolicy:
         assert math.isfinite(em.number) and math.isfinite(em.energy)
 
     def test_mode_count_reported(self):
+        # only the window around the Fermi level is summed directly
         tp = exact_expectations(P35, 0.001, 0.0)
-        assert tp.n_modes is not None and tp.n_modes > 1000
+        assert tp.n_modes is not None and tp.n_modes <= 17
+        assert tp.tail_bound is not None and tp.tail_bound <= 1e-15
+        assert em_expectations(P35, 0.001, 0.0).tail_bound is None
+
+
+def brute_sums(params, beta, mu):
+    """(log Z, N, E) summed mode by mode up to where beta lambda_k - beta mu
+    exceeds 40, with numpy's pairwise summation."""
+    bl = beta * params.lambda_scale
+    k = np.arange(1, math.ceil((max(0.0, beta * mu) + 40.0) / bl) + 41, dtype=float)
+    lam = params.lambda_scale * (4.0 * k - 3.0) / 4.0
+    x = beta * lam - beta * mu
+    e = np.exp(-np.abs(x))
+    f = np.where(x > 0, e, 1.0) / (1.0 + e)
+    return (float(np.sum(np.maximum(-x, 0.0) + np.log1p(e))),
+            float(np.sum(f)), float(np.sum(lam * f)))
+
+
+class TestFermiEngine:
+    def test_grid_against_brute_force(self):
+        # (log Z, N, E/Lambda) depend on (beta Lambda, mu/Lambda) alone, so
+        # one brute-force sum serves the three gammas
+        params = [make_params(g) for g in (0.0, 0.6, 1.4)]
+        worst = 0.0
+        for bl in np.geomspace(1e-4, 7.0, 25):
+            for m in np.linspace(-50.0, 50.0, 21):
+                ref = brute_sums(P0, bl, m)
+                for p in params:
+                    tp = exact_expectations(p, bl / p.lambda_scale, m * p.lambda_scale)
+                    assert tp.tail_bound <= 1e-15
+                    got = (tp.log_z, tp.number, tp.energy / p.lambda_scale)
+                    worst = max(worst, *(abs(a - b) / b for a, b in zip(got, ref)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("bl", [1e-9, 1e-100, 1e-150])
+    def test_tiny_beta_is_fast_and_hot(self, bl):
+        exact_log_z(P0, bl, 0.0)
+        elapsed = min(_timed(exact_expectations, P0, bl, 0.0) for _ in range(5))
+        assert elapsed < 1e-3
+        # beta Lambda log Z = pi^2/12 + (beta Lambda/4) log 2 + O((beta Lambda)^2)
+        # and beta Lambda N = log 2 + beta Lambda/8 + O((beta Lambda)^2) at mu = 0
+        tp = exact_expectations(P0, bl, 0.0)
+        assert bl * tp.log_z == pytest.approx(math.pi**2 / 12 + bl * math.log(2) / 4,
+                                              abs=1e-12)
+        assert bl * tp.number == pytest.approx(math.log(2) + bl / 8, abs=1e-12)
+
+    def test_overflow_is_value_error(self):
+        with pytest.raises(ValueError, match="overflow"):
+            exact_expectations(P35, 1e-300, 0.0)
+
+    def test_deep_fermi_sea(self):
+        # a Fermi sea deeper by one Lambda holds exactly one more particle
+        mu = 1e8
+        exact_expectations(P0, 1.0, mu)
+        assert min(_timed(exact_expectations, P0, 1.0, mu) for _ in range(5)) < 5e-3
+        deep = exact_expectations(P0, 1.0, mu).number
+        _, n_50, _ = brute_sums(P0, 1.0, 50.0)
+        assert deep == pytest.approx((mu - 50.0) + n_50, rel=1e-12)
+
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(TruncationError) as info:
+            exact_log_z(P35, 1e-3, 0.0, tail_tol=1e-300)
+        assert info.value.achieved > 1e-300
+        with pytest.raises(ValueError):
+            exact_log_z(P35, 1e-3, 0.0, tail_tol=0.0)
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
