@@ -127,6 +127,27 @@ def _creation_matrix(m: int, j: int) -> sp.csr_matrix:
     return C
 
 
+@functools.lru_cache(maxsize=None)
+def _mode_pattern(m: int, dagger: bool) -> sp.csr_matrix:
+    """sum_j j c_j^dag (dagger) or sum_j j c_j: an entry's magnitude names
+    its mode, its sign is the antisymmetry sign, and no two modes share an
+    entry."""
+    P = sum(j * _creation_matrix(m, j) for j in range(1, m + 1))
+    P = sp.csr_matrix(P if dagger else P.T)
+    for a in (P.data, P.indices, P.indptr):
+        a.flags.writeable = False   # shared by every caller through the cache
+    return P
+
+
+def _mode_combination(coeffs: np.ndarray, dagger: bool) -> sp.csr_matrix:
+    """sum_j coeffs[j-1] c_j^dag (or c_j) as one gather over the mode pattern."""
+    P = _mode_pattern(len(coeffs), dagger)
+    out = sp.csr_matrix((coeffs[np.abs(P.data).astype(np.int64) - 1] * np.sign(P.data),
+                         P.indices, P.indptr), shape=P.shape, copy=True)
+    out.eliminate_zeros()
+    return out
+
+
 def creation_op(space: FockSpace, j: int) -> FockOperator:
     """c_j^dag: occupies mode j with the antisymmetry sign."""
     if not 1 <= j <= space.modes:
@@ -171,7 +192,11 @@ def second_quantize(space: FockSpace, A: np.ndarray) -> FockOperator:
 
 
 def anticommutator(A: FockOperator, B: FockOperator) -> sp.csr_matrix:
-    return (A.matrix @ B.matrix + B.matrix @ A.matrix).tocsr()
+    """AB + BA in Fock space as the one product [A B] [B; A]."""
+    out = sp.hstack([A.matrix, B.matrix], format="csr") \
+        @ sp.vstack([B.matrix, A.matrix], format="csr")
+    out.eliminate_zeros()
+    return out
 
 
 def _max_abs(M) -> float:
@@ -195,14 +220,10 @@ def build_pseudo_fermions(space: FockSpace, biorth: BiorthogonalSystem) -> Pseud
     defect = biorth.gram_defect()
     if defect > 1e-10:
         raise ValueError(f"biorthogonality defect {defect:.3e} exceeds 1e-10")
-    d_dag, d = [], []
-    for i in range(m):
-        x = biorth.right_vectors[:, i]
-        y = biorth.left_vectors[:, i]
-        up = sum(x[k] * _creation_matrix(m, k + 1) for k in range(m))
-        dn = sum(y[k] * _creation_matrix(m, k + 1).T for k in range(m))
-        d_dag.append(FockOperator(space, sp.csr_matrix(up), f"d{i + 1}_ddag"))
-        d.append(FockOperator(space, sp.csr_matrix(dn), f"d{i + 1}"))
+    d_dag = [FockOperator(space, _mode_combination(biorth.right_vectors[:, i], True),
+                          f"d{i + 1}_ddag") for i in range(m)]
+    d = [FockOperator(space, _mode_combination(biorth.left_vectors[:, i], False),
+                      f"d{i + 1}") for i in range(m)]
     return PseudoFermionSet(count=m, d_dag=d_dag, d=d, source=biorth)
 
 
@@ -269,24 +290,32 @@ def one_particle_metric(biorth: BiorthogonalSystem) -> np.ndarray:
     return (W + W.T) / 2.0
 
 
+# Elements per row block of the k >= 3 compound gather (8 MB of floats).
+_LIFT_BLOCK = 1 << 20
+
+
 def _compound_matrix(W: np.ndarray, m: int, k: int) -> np.ndarray:
-    """k-th antisymmetric (compound) lift: entries det(W[I, J]) over sectors."""
-    tuples = [tuple(t for t in range(m) if (int(b) >> t) & 1)
-              for b in sector_indices(m, k)]
-    size = len(tuples)
+    """k-th antisymmetric (compound) lift: entries det(W[I, J]) over sectors.
+
+    One gather of W over the sector's ascending mode tuples; closed forms
+    for k <= 2, batched determinants one row block at a time for k >= 3 so
+    that memory stays near size * k^2 rather than size^2 * k^2.
+    """
     if k == 0:
         return np.ones((1, 1), dtype=W.dtype)
+    bits = sector_indices(m, k)
+    I = np.nonzero((bits[:, None] >> np.arange(m)) & 1)[1].reshape(-1, k)
+    if k == 1:
+        return W[np.ix_(I[:, 0], I[:, 0])]
+    if k == 2:
+        i, j = I[:, 0], I[:, 1]
+        return W[np.ix_(i, i)] * W[np.ix_(j, j)] - W[np.ix_(i, j)] * W[np.ix_(j, i)]
+    size = len(I)
     out = np.empty((size, size), dtype=W.dtype)
-    for a, I in enumerate(tuples):
-        rows = W[np.ix_(I, range(m))]
-        for b, J in enumerate(tuples):
-            sub = rows[:, J]
-            if k == 1:
-                out[a, b] = sub[0, 0]
-            elif k == 2:
-                out[a, b] = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-            else:
-                out[a, b] = np.linalg.det(sub)
+    rows = max(1, _LIFT_BLOCK // (size * k * k))
+    cols = I[None, :, None, :]
+    for a in range(0, size, rows):
+        out[a:a + rows] = np.linalg.det(W[I[a:a + rows, None, :, None], cols])
     return out
 
 

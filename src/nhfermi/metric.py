@@ -31,8 +31,8 @@ stops at 4M.  The worst interior error of the four conjugations (leading
 half, against T and Lambda S0) measured <= 1.4e-14 for gamma <= 1.25 at
 M = 60, 1.4e-13 for gamma <= 1.2 at M = 40 and 5e-15 for gamma <= 1.0 at
 M = 20.  Nearer the metric bound it grows, and nothing raises: 6.9e-11 at
-gamma = 1.3 and 8.7e-3 at gamma = 1.42 for M = 60 (which needs 6M), 1.6e-8
-at gamma = 1.2 for M = 20.
+gamma = 1.3 and 8.7e-3 at gamma = 1.42 for M = 60, 1.6e-8 at gamma = 1.2
+for M = 20.  At M = 60 a sum to 5M measured converged up to gamma = 1.427.
 """
 
 import functools
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TruncatedOperator, build_generators, ladder_couplings
+from .operators import _B, _ONE, TruncatedOperator, _fixed, build_generators, ladder_couplings
 from .params import METRIC_GAMMA_BOUND, ModelParams
 
 __all__ = [
@@ -118,17 +118,8 @@ def build_metric(params: ModelParams, M: int) -> MetricOperator:
     return MetricOperator(dim=M, d2=d2, d=d, alpha=params.alpha)
 
 
-# Fixed point for the conjugations: the Python int v stands for v * 2**-_B.
-_B = 200
-_ONE = 1 << _B
 # The conjugations sum over intermediate states k < _PAD * M.
 _PAD = 4
-
-
-def _fixed(x: float) -> int:
-    """A float in fixed point, rounded down (exact for multiples of 2**-_B)."""
-    num, den = float(x).as_integer_ratio()
-    return (num << _B) // den
 
 
 def _fixed_ladder(n: int):

@@ -207,7 +207,7 @@ def dense_biorthogonal(params: ModelParams, m: int) -> BiorthogonalSystem:
     """
     H = build_hamiltonian(params, m).entries
     w, vr = scipy.linalg.eig(H)
-    order = np.argsort(w.real + 1e-12 * np.abs(w.imag))
+    order = np.lexsort((w.imag, w.real))   # a conjugate pair: negative imag first
     w, vr = w[order], vr[:, order]
     vl = scipy.linalg.inv(vr).T
     if np.abs(w.imag).max() <= 1e-9 * max(1.0, np.abs(w.real).max()):
@@ -216,43 +216,58 @@ def dense_biorthogonal(params: ModelParams, m: int) -> BiorthogonalSystem:
     return BiorthogonalSystem(m, m, w, vr, vl)
 
 
-def _charpoly_newton(gamma: float, M: int, lam: float, dps: int = 40,
-                     iters: int = 50) -> float:
+# Fixed point shared with metric.py: the Python int v stands for v * 2**-_B.
+_B = 200
+_ONE = 1 << _B
+
+
+def _fixed(x: float) -> int:
+    """A float in fixed point, rounded down (exact for multiples of 2**-_B)."""
+    num, den = float(x).as_integer_ratio()
+    return (num << _B) // den
+
+
+def _charpoly_newton(gamma: float, M: int, lam: float, iters: int = 50) -> float:
     """Newton refinement of a real eigenvalue of the M-truncated ladder.
 
-    Newton on det(H - lam) through the three-term recurrence with per-step
-    rescaling.  Runs in mpmath with the exact model coefficients
-    diag_k = (4k-3)/4 and sub*super = -gamma^2 (2k-1) 2k / 8: the
-    eigenvalues of these strongly non-normal truncations carry condition
-    numbers beyond 1e7, so both double-precision solves and refinement
-    against rounded matrix entries stall near 1e-8 absolute error.
+    Newton on det(H - lam) through the three-term recurrence, in fixed point
+    with the exact model coefficients diag_k = (4k-3)/4 and sub*super =
+    -gamma^2 (2k-1) 2k / 8: the eigenvalues of these strongly non-normal
+    truncations carry condition numbers beyond 1e7, so both double-precision
+    solves and refinement against rounded matrix entries stall near 1e-8
+    absolute error.  After each step of the recurrence the four running
+    values share one power-of-two rescale that puts the largest near 2**_B;
+    Newton stops once a step falls below 2**-100 relative.
     """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        g2 = mp.mpf(float(gamma)) ** 2
-        d = [mp.mpf(4 * k - 3) / 4 for k in range(1, M + 1)]
-        op = [-g2 * (2 * k - 1) * (2 * k) / 8 for k in range(1, M)]
-        lam = mp.mpf(float(lam))
-        tol = mp.mpf(10) ** (-(dps - 8))
-        for _ in range(iters):
-            p_prev, p = mp.mpf(1), d[0] - lam
-            dp_prev, dp = mp.mpf(0), mp.mpf(-1)
-            for k in range(1, M):
-                pn = (d[k] - lam) * p - op[k - 1] * p_prev
-                dpn = -p + (d[k] - lam) * dp - op[k - 1] * dp_prev
-                scale = max(abs(pn), abs(p), abs(dpn), abs(dp))
-                if scale == 0:
-                    return float(lam)
-                p_prev, p = p / scale, pn / scale
-                dp_prev, dp = dp / scale, dpn / scale
-            if dp == 0:
-                break
-            step = p / dp
-            lam = lam - step
-            if abs(step) <= tol * max(mp.mpf(1), abs(lam)):
-                break
-        return float(lam)
+    num, den = float(gamma).as_integer_ratio()
+    g2 = num * num << _B
+    op = [-(g2 * (2 * k - 1) * k // (4 * den * den)) for k in range(1, M)]
+    shifted = [(4 * k - 3) << (_B - 2) for k in range(1, M + 1)]   # diag_k
+    lam = _fixed(lam)
+    for _ in range(iters):
+        a = shifted[0] - lam
+        p_prev, p = _ONE, a
+        dp_prev, dp = 0, -_ONE
+        for k in range(1, M):
+            a = shifted[k] - lam
+            pn = (a * p - op[k - 1] * p_prev) >> _B
+            dpn = (a * dp - op[k - 1] * dp_prev - (p << _B)) >> _B
+            bits = max(abs(pn).bit_length(), abs(p).bit_length(),
+                       abs(dpn).bit_length(), abs(dp).bit_length())
+            if bits == 0:
+                return lam / _ONE
+            shift = bits - _B
+            if shift > 0:
+                p_prev, p, dp_prev, dp = p >> shift, pn >> shift, dp >> shift, dpn >> shift
+            else:
+                p_prev, p, dp_prev, dp = p << -shift, pn << -shift, dp << -shift, dpn << -shift
+        if dp == 0:
+            break
+        step = (p << _B) // dp
+        lam -= step
+        if abs(step) <= max(_ONE, abs(lam)) >> 100:
+            break
+    return lam / _ONE
 
 
 def dense_spectrum(H: TruncatedOperator, n: int) -> np.ndarray:

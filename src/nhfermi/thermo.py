@@ -390,6 +390,9 @@ def em_expectations(params: ModelParams, beta: float, mu: float) -> ThermoPoint:
             + (beta Lambda / 12) sigma(-zeta') sigma(zeta'),
         E = -Li2(-e^{-zeta'})/(beta^2 Lambda) - (Lambda/12) sigma(-zeta')
             - (3/4) Lambda N.
+
+    Raises ValueError when a value overflows a float (at mu = 0, E does
+    below beta of about 5e-155).
     """
     beta = _validate_beta(beta)
     mu = float(mu)
@@ -403,8 +406,10 @@ def em_expectations(params: ModelParams, beta: float, mu: float) -> ThermoPoint:
     sig_rev = _sigma_neg(-zp)     # sigma(zeta') = 1 - sigma(-zeta')
     log_z = -li / bl - 0.5 * softplus + (bl / 12.0) * sig
     number = softplus / bl - 0.5 * sig + (bl / 12.0) * sig * sig_rev
-    energy = -li / (beta * beta * lam) - (lam / 12.0) * sig - 0.75 * lam * number
+    energy = -li / bl / beta - (lam / 12.0) * sig - 0.75 * lam * number
     entropy = beta * (energy - mu * number) + log_z
+    if not all(math.isfinite(v) for v in (log_z, number, energy, entropy)):
+        raise ValueError(f"thermodynamic values overflow a float at beta={beta!r}")
     return ThermoPoint(beta=beta, mu=mu, zeta=zeta, zeta_prime=zp,
                        log_z=log_z, energy=energy, number=number,
                        entropy=entropy, method="euler_maclaurin", gamma=params.gamma)

@@ -111,8 +111,8 @@ def _small_figure_config(tmp_path, **overrides):
 
 @pytest.mark.parametrize("case", ["n_max", "beta", "gamma", "modes", "metric",
                                   "missing", "malformed", "no_gamma", "not_object",
-                                  "count", "tiny_beta", "beta_list_int",
-                                  "sweep_no_min"])
+                                  "count", "tiny_beta", "tiny_beta_em",
+                                  "beta_list_int", "sweep_no_min"])
 def test_bad_input_exits_2(case, tmp_path, capsys):
     out = tmp_path / "out.csv"
     (tmp_path / "bad.json").write_text("{not json")
@@ -133,6 +133,7 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         "not_object": figure + [str(tmp_path / "list.json")],
         "count": ["spectrum", "--truncation", "10", "--count", "200"],
         "tiny_beta": ["thermo", "--beta", "1e-300", "--mu", "0"],
+        "tiny_beta_em": ["thermo", "--beta", "1e-170", "--mu", "0", "--method", "em"],
         "beta_list_int": figure + [_small_figure_config(tmp_path, beta_list=5)],
         "sweep_no_min": figure + [_small_figure_config(
             tmp_path, mu_sweep={"max": 1.0, "count": 3})],

@@ -23,7 +23,13 @@ from nhfermi import (
     second_quantize,
     t_operators_combination,
 )
-from nhfermi.fock import MAX_MODES, _max_abs as max_abs, ladder_couplings, sector_indices
+from nhfermi.fock import (
+    MAX_MODES,
+    _compound_matrix,
+    _max_abs as max_abs,
+    ladder_couplings,
+    sector_indices,
+)
 
 P35 = make_params(0.6)
 
@@ -166,6 +172,20 @@ class TestPseudoFermions:
                 worst = max(worst, max_abs(anticommutator(pf.d[i], pf.d[j])))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("gamma, m", [(0.0, 4), (0.6, 6), (1.3, 7)])
+    def test_match_sums_of_ladder_operators(self, gamma, m):
+        space = build_fock(m)
+        bio = dense_biorthogonal(make_params(gamma), m)
+        pf = build_pseudo_fermions(space, bio)
+        for i in range(m):
+            up = sum(bio.right_vectors[k, i] * creation_op(space, k + 1).matrix for k in range(m))
+            dn = sum(bio.left_vectors[k, i] * annihilation_op(space, k + 1).matrix for k in range(m))
+            for got, ref in ((pf.d_dag[i].matrix, sp.csr_matrix(up)), (pf.d[i].matrix, sp.csr_matrix(dn))):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                assert np.array_equal(got.data, ref.data)
+
     def test_not_true_fermions(self, frame):
         space, bio, pf = frame
         assert max_abs(pf.d_dag[0].matrix - pf.d[0].matrix.T) > 0.01
@@ -293,6 +313,64 @@ class TestPhysicalInnerFock:
         v = np.zeros(space.dimension)
         v[0] = 2.0
         assert physical_inner_fock(space, np.eye(3), v, v, 0) == pytest.approx(4.0)
+
+
+def _compound_reference(W, m, k):
+    """Per-entry compound lift: det(W[I, J]) over ascending mode tuples."""
+    tuples = [[t for t in range(m) if (int(b) >> t) & 1] for b in sector_indices(m, k)]
+    if k == 0:
+        return np.ones((1, 1))
+    out = np.empty((len(tuples), len(tuples)), dtype=W.dtype)
+    for a, I in enumerate(tuples):
+        for b, J in enumerate(tuples):
+            sub = W[np.ix_(I, J)]
+            if k == 1:
+                out[a, b] = sub[0, 0]
+            elif k == 2:
+                out[a, b] = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
+            else:
+                out[a, b] = np.linalg.det(sub)
+    return out
+
+
+class TestCompoundLift:
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("source", ["metric", "random"])
+    def test_matches_per_entry_determinants(self, m, source):
+        if source == "metric":
+            W = one_particle_metric(dense_biorthogonal(make_params(0.9), m))
+        else:
+            W = np.random.default_rng(m).standard_normal((m, m))
+        for k in range(min(m, 4) + 1):
+            lift, ref = _compound_matrix(W, m, k), _compound_reference(W, m, k)
+            assert lift.shape == ref.shape
+            if k <= 2:
+                assert np.array_equal(lift, ref)
+            else:
+                assert np.abs(lift - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_row_blocks_cover_the_sector(self, monkeypatch):
+        import nhfermi.fock as fock_module
+
+        W = np.random.default_rng(7).standard_normal((7, 7))
+        whole = _compound_matrix(W, 7, 3)
+        monkeypatch.setattr(fock_module, "_LIFT_BLOCK", 4 * 9)   # 4 rows per block
+        assert np.array_equal(_compound_matrix(W, 7, 3), whole)
+
+
+class TestAnticommutator:
+    def test_matches_two_products(self):
+        m = 8
+        space = build_fock(m)
+        pf = build_pseudo_fermions(space, dense_biorthogonal(make_params(1.1), m))
+        ops = pf.d_dag + pf.d + [creation_op(space, 3), annihilation_op(space, 5)]
+        for A in ops[::3]:
+            for B in ops:
+                ref = A.matrix @ B.matrix + B.matrix @ A.matrix
+                out = anticommutator(A, B)
+                assert sp.isspmatrix_csr(out)
+                assert not (out.data == 0).any()
+                assert max_abs(out - ref) <= 1e-14
 
 
 class TestOneParticleMetric:

@@ -1,5 +1,7 @@
+import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nhfermi import (
     TruncationError,
@@ -13,6 +15,7 @@ from nhfermi import (
     make_params,
     mode_energy,
 )
+from nhfermi.operators import _charpoly_newton
 
 P35 = make_params(0.6)
 
@@ -198,6 +201,51 @@ class TestDenseSpectrum:
             dense_spectrum(bad, 2)
 
 
+def _charpoly_newton_mpmath(gamma, M, lam, dps=40, iters=50):
+    """Oracle for the fixed-point Newton polish: the same recurrence and
+    step in mpmath at 40 digits, with each step divided by the largest of
+    the four running values."""
+    with mp.workdps(dps):
+        g2 = mp.mpf(float(gamma)) ** 2
+        d = [mp.mpf(4 * k - 3) / 4 for k in range(1, M + 1)]
+        op = [-g2 * (2 * k - 1) * (2 * k) / 8 for k in range(1, M)]
+        lam = mp.mpf(float(lam))
+        tol = mp.mpf(10) ** (-(dps - 8))
+        for _ in range(iters):
+            p_prev, p = mp.mpf(1), d[0] - lam
+            dp_prev, dp = mp.mpf(0), mp.mpf(-1)
+            for k in range(1, M):
+                pn = (d[k] - lam) * p - op[k - 1] * p_prev
+                dpn = -p + (d[k] - lam) * dp - op[k - 1] * dp_prev
+                scale = max(abs(pn), abs(p), abs(dpn), abs(dp))
+                if scale == 0:
+                    return float(lam)
+                p_prev, p = p / scale, pn / scale
+                dp_prev, dp = dp / scale, dpn / scale
+            if dp == 0:
+                break
+            step = p / dp
+            lam = lam - step
+            if abs(step) <= tol * max(mp.mpf(1), abs(lam)):
+                break
+        return float(lam)
+
+
+class TestCharpolyNewton:
+    @pytest.mark.parametrize("gamma", np.linspace(0.05, 1.5, 12).tolist())
+    def test_bit_equal_to_mpmath(self, gamma):
+        M = 100
+        A = build_hamiltonian(make_params(gamma), M).entries
+        w = scipy.linalg.eigvals(A)
+        seeds = np.sort(w[np.abs(w.imag) <= 1e-8 * np.abs(w).max()].real)[:8]
+        g = 2.0 * A[1, 0]
+        for lam in seeds:
+            assert _charpoly_newton(g, M, lam) == _charpoly_newton_mpmath(g, M, lam)
+
+    def test_gamma_zero_exact(self):
+        assert _charpoly_newton(0.0, 10, 2.3) == 2.25
+
+
 class TestDenseBiorthogonal:
     def test_full_frame_biorthonormal(self):
         bio = dense_biorthogonal(P35, 6)
@@ -219,6 +267,16 @@ class TestDenseBiorthogonal:
         assert len(complex_ones) % 2 == 0
         paired = np.sort_complex(complex_ones)
         assert np.allclose(np.sort_complex(complex_ones.conj()), paired)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.6, 1.0, 1.5])
+    def test_conjugate_pairs_negative_imaginary_first(self, gamma):
+        lam = dense_biorthogonal(make_params(gamma), 12).eigenvalues
+        assert np.all(np.diff(lam.real) >= 0)
+        pairs = np.flatnonzero(lam.imag != 0)
+        assert len(pairs) > 0 and len(pairs) % 2 == 0
+        first, second = lam[pairs[::2]], lam[pairs[1::2]]
+        assert np.all(first.imag < 0)
+        assert np.array_equal(second, first.conj())
 
     def test_diagonalizes_hamiltonian(self):
         bio = dense_biorthogonal(P35, 6)
