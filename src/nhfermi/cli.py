@@ -5,6 +5,7 @@ Subcommands: spectrum, metric-check, fock-check, thermo, figure, selfcheck.
 
 import argparse
 import json
+import math
 import sys
 
 from . import operators as op
@@ -93,14 +94,34 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_selfcheck(_args) -> int:
-    failed = False
-    for r in run_all():
-        tag = "PASS" if r.passed else ("FAIL (expected)" if r.expected_failure else "FAIL")
+def _json_number(x):
+    """A check value or bound as a JSON number; non-finite ones become null."""
+    x = x.item() if hasattr(x, "item") else x
+    return x if not isinstance(x, float) or math.isfinite(x) else None
+
+
+def _criterion_json(r, wall_s) -> dict:
+    return {"cid": r.cid, "name": r.name, "passed": r.passed,
+            "expected_failure": r.expected_failure, "wall_s": wall_s,
+            "checks": [{"name": c.name, "value": _json_number(c.value),
+                        "bound": _json_number(c.bound), "passed": c.passed}
+                       for c in r.checks]}
+
+
+def _cmd_selfcheck(args) -> int:
+    failed, criteria = False, []
+    for r, wall_s in run_all():
         failed |= (not r.passed and not r.expected_failure)
+        if args.json:
+            criteria.append(_criterion_json(r, wall_s))
+            continue
+        tag = "PASS" if r.passed else ("FAIL (expected)" if r.expected_failure else "FAIL")
         print(f"criterion {r.cid:>3} {tag:>16}  {r.name}")
         _print_checks(r.checks, indent="    ")
-    print("selfcheck:", "FAIL" if failed else "PASS")
+    if args.json:
+        print(json.dumps({"passed": not failed, "criteria": criteria}, allow_nan=False))
+    else:
+        print("selfcheck:", "FAIL" if failed else "PASS")
     return 1 if failed else 0
 
 
@@ -143,6 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(fn=_cmd_figure)
 
     sc = sub.add_parser("selfcheck", help="run the acceptance battery")
+    sc.add_argument("--json", action="store_true",
+                    help="print one JSON object: each criterion with its wall "
+                         "time and checks (non-finite values as null)")
     sc.set_defaults(fn=_cmd_selfcheck)
     return ap
 

@@ -15,6 +15,7 @@ The check is still executed and reported honestly.
 
 import hashlib
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,4 +394,8 @@ def run_criterion(cid: str) -> CriterionResult:
 
 
 def run_all():
-    return [fn() for fn in CRITERIA.values()]
+    """Run every criterion in order, yielding (CriterionResult, wall seconds)."""
+    for fn in CRITERIA.values():
+        t0 = time.perf_counter()
+        result = fn()
+        yield result, time.perf_counter() - t0

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nhfermi import figure as fg
 from nhfermi import make_params
+from nhfermi import selfcheck as sc
 from nhfermi.cli import main
 
 
@@ -156,3 +158,37 @@ def test_figure_violation_exits_1_without_writing(tmp_path, monkeypatch, capsys)
                  "--out", str(out)]) == 1
     assert "FAIL" in capsys.readouterr().out
     assert not out.exists()
+
+
+def _fake_criteria(fail_9):
+    return {
+        "1": lambda: sc._result("1", "counts and floats", [
+            ("count", np.int64(0), 0), ("residual", np.float64(2.5e-16), 1e-8)]),
+        "5b": lambda: sc._result("5b", "known gap", [
+            ("gap", float("nan"), 1e-9), ("spread", 3.0, float("inf"))],
+            expected_failure=True),
+        "9": lambda: sc._result("9", "bytes", [("off", int(fail_9), 0)]),
+    }
+
+
+@pytest.mark.parametrize("fail_9", [False, True])
+def test_selfcheck_json(monkeypatch, capsys, fail_9):
+    monkeypatch.setattr(sc, "CRITERIA", _fake_criteria(fail_9))
+    assert main(["selfcheck", "--json"]) == int(fail_9)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["passed"] is not fail_9
+    c1, c5b, c9 = report["criteria"]
+    assert [c["cid"] for c in report["criteria"]] == ["1", "5b", "9"]
+    assert c1["checks"] == [
+        {"name": "count", "value": 0, "bound": 0, "passed": True},
+        {"name": "residual", "value": 2.5e-16, "bound": 1e-8, "passed": True}]
+    assert (c5b["passed"], c5b["expected_failure"]) == (False, True)
+    assert [(c["value"], c["bound"]) for c in c5b["checks"]] == [(None, 1e-9), (3.0, None)]
+    assert c9["passed"] is not fail_9
+    assert all(c["wall_s"] >= 0.0 for c in report["criteria"])
+    # text mode keeps the same exit code
+    assert main(["selfcheck"]) == int(fail_9)
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        ("selfcheck: FAIL" if fail_9 else "selfcheck: PASS")

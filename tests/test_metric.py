@@ -1,3 +1,7 @@
+import functools
+import math
+import random
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +21,9 @@ from nhfermi import (
     make_params,
     physical_inner,
 )
+from nhfermi.errors import NumericalError
+from nhfermi.metric import _PAD, _check_exact, _imatmul
+from nhfermi.operators import _B, _ONE, _fixed
 
 P35 = make_params(0.6)
 
@@ -183,3 +190,100 @@ class TestHermitized:
         wB = np.sort(np.linalg.eigvalsh((B + B.T) / 2))[:5]
         low = dense_spectrum(build_hamiltonian(P35, M), 5)
         assert np.abs(wB - low).max() / low.max() < 1e-8
+
+
+# -- the dense object-matmul conjugation kernel, kept as the exact oracle ----
+
+def _dense_ladder(n):
+    S0 = np.diag([(4 * k + 1) << (_B - 2) for k in range(n)])
+    Sp = np.diag([math.isqrt((2 * k - 1) * k << 2 * _B) >> 1 for k in range(1, n)], -1)
+    return S0, Sp
+
+
+@functools.lru_cache(maxsize=1)
+def _dense_frame(gamma, M):
+    pad = _PAD * M
+    g = _fixed(gamma)
+    lam = math.isqrt(_ONE * _ONE + 2 * g * g)
+    t = 2 * g * _ONE // (_ONE + lam)
+    q = 2 * lam * _ONE // (_ONE + lam)
+    q4 = math.isqrt(math.isqrt(q << _B) << _B)
+    w = [q4 * q**l >> _B * l for l in range(M)]
+    s = np.diagonal(_dense_ladder(pad)[1], -1)
+    L = np.zeros((pad, M), dtype=object)
+    for j in range(M):
+        acc = L[j, j] = _ONE
+        for k in range(j + 1, pad):
+            acc = acc * t * s[k - 1] // ((k - j) << 2 * _B)
+            L[k, j] = acc
+    return (L[:M] * w >> _B) @ L.T >> _B
+
+
+def _dense_conjugate(gamma, M, X):
+    E = _dense_frame(abs(gamma), M)
+    F = E * (-1) ** np.add.outer(np.arange(M), np.arange(_PAD * M))
+    left, right = (F, E) if gamma > 0 else (E, F)
+    Y = (left @ X >> _B) @ right.T >> _B
+    return (Y / _ONE).astype(float)
+
+
+@pytest.mark.parametrize("gamma,M", [(0.05, 60), (0.6, 60), (1.0, 60), (1.42, 60),
+                                     (-0.7, 30), (1.2, 20), (0.6, 8), (0.5, 2)])
+def test_conjugations_bit_identical_to_dense_kernel(gamma, M):
+    p = make_params(gamma)
+    S0, Sp = _dense_ladder(_PAD * M)
+    for which, X in (("S0", S0), ("Splus", Sp), ("Sminus", Sp.T)):
+        C = conjugate_generator(p, M, which).entries
+        assert np.array_equal(C, _dense_conjugate(gamma, M, X)), which
+    H = S0 + ((Sp - Sp.T) * _fixed(gamma) >> _B)
+    assert np.array_equal(hermitized_hamiltonian(p, M), _dense_conjugate(-gamma, M, H))
+
+
+class TestImatmul:
+    @staticmethod
+    def _random(rng, shape, max_bits=600):
+        return np.array([rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, max_bits))
+                         for _ in range(math.prod(shape))], dtype=object).reshape(shape)
+
+    @pytest.mark.parametrize("n_a,k,n_b", [(7, 13, 5), (1, 40, 9), (11, 40, 1),
+                                           (1, 1, 1), (6, 400, 3), (9, 2, 10)])
+    def test_random_signed_ints(self, n_a, k, n_b):
+        rng = random.Random(n_a * 1000 + k * 10 + n_b)
+        A, B = self._random(rng, (n_a, k)), self._random(rng, (k, n_b))
+        assert np.array_equal(_imatmul(A, B), A @ B)
+
+    def test_zero_rows_and_negative_blocks(self):
+        rng = random.Random(5)
+        A, B = self._random(rng, (10, 30)), self._random(rng, (30, 8))
+        A[2] = 0
+        A[5:9, :12] = -abs(A[5:9, :12]) - 1
+        B[:, 3] = -(1 << 599)
+        B[10:20, 4:] = -abs(B[10:20, 4:])
+        assert np.array_equal(_imatmul(A, B), A @ B)
+        Z = np.zeros((4, 30), dtype=object)
+        assert np.array_equal(_imatmul(Z, B), Z @ B)
+
+    def test_results_are_python_ints(self):
+        A = np.array([[1 << 300, -3]], dtype=object)
+        B = np.array([[5], [7]], dtype=object)
+        (c,), = _imatmul(A, B)
+        assert type(c) is int and c == (5 << 300) - 21
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            _imatmul(np.zeros((2, 3), dtype=object), np.zeros((4, 2), dtype=object))
+
+    def test_exactness_guard(self):
+        # min(la, lb) k 2^32 must stay below 2^53; checked on the shape alone
+        _check_exact(17, 30, (1 << 21) // 17, (60, 60))
+        with pytest.raises(NumericalError, match=r"60x123362 @ 123362x60"):
+            _check_exact(17, 30, (1 << 21) // 17 + 1, (60, 60))
+        with pytest.raises(NumericalError):
+            _check_exact(1, 1, 1 << 21, (1, 1))
+        # _imatmul checks before it makes any limbs: one 32767-bit entry per
+        # operand gives 2048 limbs each, and 2048 * 1024 = 2^21
+        A = np.zeros((1, 1024), dtype=object)
+        B = np.zeros((1024, 1), dtype=object)
+        A[0, 0] = B[0, 0] = (1 << 32767) - 1
+        with pytest.raises(NumericalError, match=r"1x1024 @ 1024x1 with 2048 and 2048"):
+            _imatmul(A, B)

@@ -1,4 +1,5 @@
-"""Property tests of the dilogarithm and the exact Fermi-sum engine.
+"""Property tests of the dilogarithm, the exact Fermi-sum engine and the
+gamma -> 0 limit of the metric conjugations.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -9,7 +10,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhfermi import dilog, exact_expectations, make_params
+from nhfermi import (
+    build_generators,
+    build_metric,
+    build_t_operators,
+    conjugate_generator,
+    dilog,
+    exact_expectations,
+    hermitized_hamiltonian,
+    make_params,
+)
 from nhfermi.thermo import TAIL_TOL, _fermi_sums
 
 PI2_6 = math.pi**2 / 6
@@ -75,3 +85,34 @@ def test_engine_error_within_certificate(lb, m, tol):
     assert sums.bound <= tol
     for got, ref in zip((sums.log_z, sums.number, sums.moment), _brute_sums(bl, zp)):
         assert abs(got - ref) <= (sums.bound + 16 * EPS) * ref
+
+
+GENERATORS = ("S0", "Splus", "Sminus")
+
+
+@fixed
+@given(st.integers(min_value=2, max_value=120))
+def test_gamma_zero_metric_and_conjugations_exact(M):
+    p = make_params(0.0)
+    S = [x.entries for x in build_generators(M)]
+    for s, t in zip(S, build_t_operators(p, M)):
+        assert np.array_equal(t.entries, s)
+    assert np.array_equal(build_metric(p, M).d2, np.eye(M))
+    for which, s in zip(GENERATORS, S):
+        assert np.array_equal(conjugate_generator(p, M, which).entries, s)
+    assert np.array_equal(hermitized_hamiltonian(p, M), p.lambda_scale * S[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.floats(min_value=-1e-3, max_value=1e-3).filter(lambda g: g != 0.0),
+       st.integers(min_value=2, max_value=40))
+def test_small_gamma_conjugations_match_t(gamma, M):
+    # the fixed-point kernel runs for any gamma != 0; near 0 its leading half
+    # meets T and Lambda S0 to rounding (3.6e-15 measured)
+    p = make_params(gamma)
+    n = M // 2
+    for which, t in zip(GENERATORS, build_t_operators(p, M)):
+        C = conjugate_generator(p, M, which).entries
+        assert np.abs(C[:n, :n] - t.entries[:n, :n]).max() <= 1e-12, which
+    target = p.lambda_scale * build_generators(M)[0].entries
+    assert np.abs(hermitized_hamiltonian(p, M)[:n, :n] - target[:n, :n]).max() <= 1e-12
