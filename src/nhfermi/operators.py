@@ -16,7 +16,6 @@ in M at rate |eta|.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, TruncationError
 from .params import ModelParams, mode_energy
@@ -205,6 +204,8 @@ def dense_biorthogonal(params: ModelParams, m: int) -> BiorthogonalSystem:
     Left vectors are rows of the inverse eigenvector matrix, so the bilinear
     pairing left^T right is the identity to round-off by construction.
     """
+    import scipy.linalg   # deferred: it takes longer to import than all of nhfermi
+
     H = build_hamiltonian(params, m).entries
     w, vr = scipy.linalg.eig(H)
     order = np.lexsort((w.imag, w.real))   # a conjugate pair: negative imag first
@@ -291,6 +292,8 @@ def dense_spectrum(H: TruncatedOperator, n: int) -> np.ndarray:
         + gamma * (np.diag(s, -1) - np.diag(s, 1))
     if np.abs(A - family).max() > 1e-12 * max(1.0, np.abs(A).max()):
         raise ValueError("dense_spectrum expects a truncation of the ladder family")
+    import scipy.linalg   # deferred: it takes longer to import than all of nhfermi
+
     w = scipy.linalg.eigvals(A)
     scale = max(1.0, np.abs(w).max())
     real = np.sort(w[np.abs(w.imag) <= 1e-8 * scale].real)

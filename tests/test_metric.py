@@ -1,6 +1,8 @@
 import functools
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from nhfermi import (
     physical_inner,
 )
 from nhfermi.errors import NumericalError
-from nhfermi.metric import _PAD, _check_exact, _imatmul
+from nhfermi import metric
+from nhfermi.metric import _PAD, _check_exact, _imatmul, _ints, _shift
 from nhfermi.operators import _B, _ONE, _fixed
 
 P35 = make_params(0.6)
@@ -228,7 +231,8 @@ def _dense_conjugate(gamma, M, X):
 
 
 @pytest.mark.parametrize("gamma,M", [(0.05, 60), (0.6, 60), (1.0, 60), (1.42, 60),
-                                     (-0.7, 30), (1.2, 20), (0.6, 8), (0.5, 2)])
+                                     (-0.7, 30), (1.2, 20), (0.6, 8), (0.5, 2),
+                                     (1e-3, 40), (0.6, 3), (-0.6, 3)])
 def test_conjugations_bit_identical_to_dense_kernel(gamma, M):
     p = make_params(gamma)
     S0, Sp = _dense_ladder(_PAD * M)
@@ -237,6 +241,17 @@ def test_conjugations_bit_identical_to_dense_kernel(gamma, M):
         assert np.array_equal(C, _dense_conjugate(gamma, M, X)), which
     H = S0 + ((Sp - Sp.T) * _fixed(gamma) >> _B)
     assert np.array_equal(hermitized_hamiltonian(p, M), _dense_conjugate(-gamma, M, H))
+
+
+def test_one_frame_cached():
+    # a frame is ~0.5 MB at M = 60; a dead gamma must not keep one alive
+    frames = []
+    for gamma in (0.11, 0.22, -0.33, 0.44, 0.55):
+        conjugate_generator(make_params(gamma), 20, "S0")
+        frames.append(weakref.ref(metric._frame(abs(gamma), 20)))
+    gc.collect()
+    assert [f() is not None for f in frames] == [False] * 4 + [True]
+    assert not frames[-1]().flags.writeable
 
 
 class TestImatmul:
@@ -250,7 +265,8 @@ class TestImatmul:
     def test_random_signed_ints(self, n_a, k, n_b):
         rng = random.Random(n_a * 1000 + k * 10 + n_b)
         A, B = self._random(rng, (n_a, k)), self._random(rng, (k, n_b))
-        assert np.array_equal(_imatmul(A, B), A @ B)
+        assert np.array_equal(_ints(_imatmul(A, B)), A @ B)
+        assert np.array_equal(_ints(_shift(_imatmul(A, B))), A @ B >> _B)
 
     def test_zero_rows_and_negative_blocks(self):
         rng = random.Random(5)
@@ -259,14 +275,25 @@ class TestImatmul:
         A[5:9, :12] = -abs(A[5:9, :12]) - 1
         B[:, 3] = -(1 << 599)
         B[10:20, 4:] = -abs(B[10:20, 4:])
-        assert np.array_equal(_imatmul(A, B), A @ B)
+        assert np.array_equal(_ints(_imatmul(A, B)), A @ B)
         Z = np.zeros((4, 30), dtype=object)
-        assert np.array_equal(_imatmul(Z, B), Z @ B)
+        assert np.array_equal(_ints(_imatmul(Z, B)), Z @ B)
+
+    def test_carries_across_every_limb(self):
+        # -1 is all ones in two's complement and 2^600 - 1 fills 38 limbs,
+        # so every limb sum carries into the next, up to the sign
+        big = (1 << 600) - 1
+        A = np.array([[-1, big, -1], [big, big, big], [-1, -1, -1]], dtype=object)
+        B = np.array([[big, -1], [-1, -1], [big, big]], dtype=object)
+        one = np.array([[1]], dtype=object)     # one limb each: shifts to the sign
+        for X, Y in ((A, B), (-A, B), (A, -B), (-one, one), (one, one)):
+            assert np.array_equal(_ints(_imatmul(X, Y)), X @ Y)
+            assert np.array_equal(_ints(_shift(_imatmul(X, Y))), X @ Y >> _B)
 
     def test_results_are_python_ints(self):
         A = np.array([[1 << 300, -3]], dtype=object)
         B = np.array([[5], [7]], dtype=object)
-        (c,), = _imatmul(A, B)
+        (c,), = _ints(_imatmul(A, B))
         assert type(c) is int and c == (5 << 300) - 21
 
     def test_shape_mismatch(self):
