@@ -16,7 +16,6 @@ from .fock import (
     creation_op,
     diagonal_form_residual,
     joint_spectrum,
-    number_op,
     one_particle_metric,
     physical_inner_fock,
     second_quantize,
@@ -37,8 +36,6 @@ from .metric import (
     build_metric,
     conjugate_generator,
     hermitized_hamiltonian,
-    ladder_sum_exp,
-    physical_inner,
 )
 from .operators import (
     BiorthogonalSystem,

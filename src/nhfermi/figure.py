@@ -80,7 +80,6 @@ class BoundaryPolyline:
 
 @dataclass
 class ContainmentReport:
-    ok: bool
     margins: list
     violations: list = field(default_factory=list)
 
@@ -131,8 +130,7 @@ def containment_check(points, boundary: BoundaryPolyline,
         margins.append(margin)
         if margin < -tol:
             violations.append((p.beta, p.mu, margin))
-    return ContainmentReport(ok=not violations, margins=margins,
-                             violations=violations)
+    return ContainmentReport(margins=margins, violations=violations)
 
 
 def default_figure_config() -> dict:

@@ -33,7 +33,6 @@ __all__ = [
     "build_fock",
     "creation_op",
     "annihilation_op",
-    "number_op",
     "second_quantize",
     "anticommutator",
     "build_pseudo_fermions",
@@ -65,9 +64,7 @@ class FockSpace:
 class FockOperator:
     """Sparse operator on a FockSpace."""
 
-    space: FockSpace
     matrix: sp.csr_matrix
-    label: str = "other"
 
 
 @dataclass
@@ -78,7 +75,6 @@ class PseudoFermionSet:
     unless gamma = 0.
     """
 
-    count: int
     d_dag: list
     d: list
     source: BiorthogonalSystem
@@ -109,10 +105,6 @@ def sector_indices(m: int, k: int) -> np.ndarray:
     return out
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x).astype(np.int64)
-
-
 @functools.lru_cache(maxsize=None)
 def _creation_matrix(m: int, j: int) -> sp.csr_matrix:
     dim = 1 << m
@@ -120,7 +112,7 @@ def _creation_matrix(m: int, j: int) -> sp.csr_matrix:
     idx = np.arange(dim, dtype=np.int64)
     src = idx[(idx & mask) == 0]
     dst = src | mask
-    signs = 1.0 - 2.0 * (_popcount(src & (mask - 1)) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & (mask - 1)) & 1)
     C = sp.csr_matrix((signs, (dst, src)), shape=(dim, dim))
     for a in (C.data, C.indices, C.indptr):
         a.flags.writeable = False   # shared by every caller through the cache
@@ -152,20 +144,14 @@ def creation_op(space: FockSpace, j: int) -> FockOperator:
     """c_j^dag: occupies mode j with the antisymmetry sign."""
     if not 1 <= j <= space.modes:
         raise ValueError(f"mode index {j} out of range 1..{space.modes}")
-    return FockOperator(space, _creation_matrix(space.modes, j), f"c{j}_dag")
+    return FockOperator(_creation_matrix(space.modes, j))
 
 
 def annihilation_op(space: FockSpace, j: int) -> FockOperator:
     """c_j, the transpose of c_j^dag."""
     if not 1 <= j <= space.modes:
         raise ValueError(f"mode index {j} out of range 1..{space.modes}")
-    return FockOperator(space, _creation_matrix(space.modes, j).T.tocsr(), f"c{j}")
-
-
-def number_op(space: FockSpace) -> FockOperator:
-    """Total particle number: diagonal popcount."""
-    counts = _popcount(np.arange(space.dimension, dtype=np.int64)).astype(float)
-    return FockOperator(space, sp.diags(counts, format="csr"), "N")
+    return FockOperator(_creation_matrix(space.modes, j).T.tocsr())
 
 
 def second_quantize(space: FockSpace, A: np.ndarray) -> FockOperator:
@@ -188,7 +174,7 @@ def second_quantize(space: FockSpace, A: np.ndarray) -> FockOperator:
                 continue
             cj = _creation_matrix(space.modes, j + 1).T
             total = total + A[i, j] * (ci_dag @ cj)
-    return FockOperator(space, total.tocsr(), "quadratic")
+    return FockOperator(total.tocsr())
 
 
 def anticommutator(A: FockOperator, B: FockOperator) -> sp.csr_matrix:
@@ -220,11 +206,10 @@ def build_pseudo_fermions(space: FockSpace, biorth: BiorthogonalSystem) -> Pseud
     defect = biorth.gram_defect()
     if defect > 1e-10:
         raise ValueError(f"biorthogonality defect {defect:.3e} exceeds 1e-10")
-    d_dag = [FockOperator(space, _mode_combination(biorth.right_vectors[:, i], True),
-                          f"d{i + 1}_ddag") for i in range(m)]
-    d = [FockOperator(space, _mode_combination(biorth.left_vectors[:, i], False),
-                      f"d{i + 1}") for i in range(m)]
-    return PseudoFermionSet(count=m, d_dag=d_dag, d=d, source=biorth)
+    d_dag = [FockOperator(_mode_combination(biorth.right_vectors[:, i], True))
+             for i in range(m)]
+    d = [FockOperator(_mode_combination(biorth.left_vectors[:, i], False)) for i in range(m)]
+    return PseudoFermionSet(d_dag=d_dag, d=d, source=biorth)
 
 
 def diagonal_form_residual(space: FockSpace, params: ModelParams, pf: PseudoFermionSet) -> float:
@@ -257,9 +242,9 @@ def build_t_operators_fock(space: FockSpace, params: ModelParams, pf: PseudoFerm
     Tm = sum(s[k] * (pf.d_dag[k].matrix @ pf.d[k + 1].matrix) for k in range(m - 1))
     Tp = sum(s[k] * (pf.d_dag[k + 1].matrix @ pf.d[k].matrix) for k in range(m - 1))
     return (
-        FockOperator(space, sp.csr_matrix(T0), "T0"),
-        FockOperator(space, sp.csr_matrix(Tm), "Tminus"),
-        FockOperator(space, sp.csr_matrix(Tp), "Tplus"),
+        FockOperator(sp.csr_matrix(T0)),
+        FockOperator(sp.csr_matrix(Tm)),
+        FockOperator(sp.csr_matrix(Tp)),
     )
 
 

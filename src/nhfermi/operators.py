@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, TruncationError
-from .params import ModelParams, mode_energy
+from .params import ModelParams, make_params, mode_energy
 
 __all__ = [
     "TruncatedOperator",
@@ -36,11 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Leading M x M block of a labelled semi-infinite operator."""
+    """Leading M x M block of a semi-infinite operator."""
 
     dim: int
     entries: np.ndarray
-    label: str
 
     def __post_init__(self):
         if self.entries.shape != (self.dim, self.dim):
@@ -65,10 +64,6 @@ class BiorthogonalSystem:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.eigenvalues)
 
     def gram_defect(self) -> float:
         """Max deviation of left^T right from the identity."""
@@ -96,9 +91,9 @@ def build_generators(M: int):
     Sp = np.diag(s, -1)
     Sm = Sp.T.copy()
     return (
-        TruncatedOperator(M, S0, "S0"),
-        TruncatedOperator(M, Sp, "Splus"),
-        TruncatedOperator(M, Sm, "Sminus"),
+        TruncatedOperator(M, S0),
+        TruncatedOperator(M, Sp),
+        TruncatedOperator(M, Sm),
     )
 
 
@@ -106,7 +101,7 @@ def build_hamiltonian(params: ModelParams, M: int) -> TruncatedOperator:
     """Truncated H = S0 + gamma (S+ - S-): real tridiagonal, non-symmetric."""
     S0, Sp, Sm = build_generators(M)
     H = S0.entries + params.gamma * (Sp.entries - Sm.entries)
-    return TruncatedOperator(M, H, "H")
+    return TruncatedOperator(M, H)
 
 
 def build_t_operators(params: ModelParams, M: int):
@@ -123,9 +118,9 @@ def build_t_operators(params: ModelParams, M: int):
     Tp = -(g / lam) * S0.entries + (1 + lam) / (2 * lam) * Sp.entries \
         - (1 - lam) / (2 * lam) * Sm.entries
     return (
-        TruncatedOperator(M, T0, "T0"),
-        TruncatedOperator(M, Tp, "Tplus"),
-        TruncatedOperator(M, Tm, "Tminus"),
+        TruncatedOperator(M, T0),
+        TruncatedOperator(M, Tp),
+        TruncatedOperator(M, Tm),
     )
 
 
@@ -279,17 +274,17 @@ def dense_spectrum(H: TruncatedOperator, n: int) -> np.ndarray:
     ideal truncation (the coupling is recovered exactly from the first
     subdiagonal entry, whose ladder factor is 1/2).  Complex pairs in the
     upper spectrum are discarded; asking for more real eigenvalues than the
-    truncation carries raises NumericalError.
+    truncation carries raises NumericalError, and n < 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"need at least one eigenvalue, got n={n}")
     A = H.entries
     M = A.shape[0]
     if np.abs(A - np.diag(np.diag(A))
               - np.diag(np.diag(A, 1), 1) - np.diag(np.diag(A, -1), -1)).max() != 0.0:
         raise ValueError("dense_spectrum expects a tridiagonal operator")
     gamma = 2.0 * A[1, 0]
-    s = ladder_couplings(M)
-    family = np.diag((4 * np.arange(1, M + 1) - 3) / 4.0) \
-        + gamma * (np.diag(s, -1) - np.diag(s, 1))
+    family = build_hamiltonian(make_params(gamma), M).entries
     if np.abs(A - family).max() > 1e-12 * max(1.0, np.abs(A).max()):
         raise ValueError("dense_spectrum expects a truncation of the ladder family")
     import scipy.linalg   # deferred: it takes longer to import than all of nhfermi

@@ -382,14 +382,11 @@ def em_expectations(params: ModelParams, beta: float, mu: float) -> ThermoPoint:
     E and N by its analytic differentiation.
 
     Asymptotic in beta*Lambda: accurate at high temperature, degrading as
-    beta grows; no remainder bound is attached.  The chain rule runs through
-    zeta'(beta, zeta) with d zeta'/d beta = -(3/4) Lambda at fixed zeta and
-    d zeta'/d zeta = 1, using d Li2(-e^{-u})/du = log(1 + e^{-u}):
-
-        N = softplus(-zeta')/(beta Lambda) - sigma(-zeta')/2
-            + (beta Lambda / 12) sigma(-zeta') sigma(zeta'),
-        E = -Li2(-e^{-zeta'})/(beta^2 Lambda) - (Lambda/12) sigma(-zeta')
-            - (3/4) Lambda N.
+    beta grows; no remainder bound is attached.  It is the engine's
+    Euler-Maclaurin formula at p = 1 over the whole mode sum: the integrals
+    of _em_integrals at u0 = zeta' plus the j = 1 terms, which with
+    s = sigma(-zeta') are (beta Lambda / 12) s for log Z,
+    (beta Lambda / 12) s sigma(zeta') for N and -s/12 for sum k sigma(-u_k).
 
     Raises ValueError when a value overflows a float (at mu = 0, E does
     below beta of about 5e-155).
@@ -400,13 +397,11 @@ def em_expectations(params: ModelParams, beta: float, mu: float) -> ThermoPoint:
     lam = params.lambda_scale
     bl = beta * lam
     zp = zeta - 0.75 * bl
-    li = _dilog_neg_exp(-zp)     # Li2(-e^{-zeta'})
-    softplus = _softplus_neg(zp)  # log(1 + e^{-zeta'})
-    sig = _sigma_neg(zp)          # sigma(-zeta')
-    sig_rev = _sigma_neg(-zp)     # sigma(zeta') = 1 - sigma(-zeta')
-    log_z = -li / bl - 0.5 * softplus + (bl / 12.0) * sig
-    number = softplus / bl - 0.5 * sig + (bl / 12.0) * sig * sig_rev
-    energy = -li / bl / beta - (lam / 12.0) * sig - 0.75 * lam * number
+    b_l, b_n, b_1 = _em_integrals(bl, zp)
+    s = _sigma_neg(zp)
+    log_z = b_l + (bl / 12.0) * s
+    number = b_n + (bl / 12.0) * s * _sigma_neg(-zp)
+    energy = lam * (b_1 - s / 12.0 - 0.75 * number)
     entropy = beta * (energy - mu * number) + log_z
     if not all(math.isfinite(v) for v in (log_z, number, energy, entropy)):
         raise ValueError(f"thermodynamic values overflow a float at beta={beta!r}")

@@ -23,7 +23,7 @@ def test_metric_check_command(capsys):
     for gamma in ("0.6", "0.9"):
         assert main(["metric-check", "--gamma", gamma, "--truncation", "40"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == len(out.splitlines()) == 6
+        assert out.count("PASS") == len(out.splitlines()) == 7
 
 
 def test_metric_check_fails_at_impossible_tol(capsys):
@@ -114,7 +114,10 @@ def _small_figure_config(tmp_path, **overrides):
 @pytest.mark.parametrize("case", ["n_max", "beta", "gamma", "modes", "metric",
                                   "missing", "malformed", "no_gamma", "not_object",
                                   "count", "tiny_beta", "tiny_beta_em",
-                                  "beta_list_int", "sweep_no_min"])
+                                  "beta_list_int", "sweep_no_min", "count_zero",
+                                  "count_negative", "metric_tol_nan",
+                                  "metric_tol_negative", "fock_tol_nan",
+                                  "fock_tol_negative"])
 def test_bad_input_exits_2(case, tmp_path, capsys):
     out = tmp_path / "out.csv"
     (tmp_path / "bad.json").write_text("{not json")
@@ -139,6 +142,12 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         "beta_list_int": figure + [_small_figure_config(tmp_path, beta_list=5)],
         "sweep_no_min": figure + [_small_figure_config(
             tmp_path, mu_sweep={"max": 1.0, "count": 3})],
+        "count_zero": ["spectrum", "--truncation", "24", "--count", "0"],
+        "count_negative": ["spectrum", "--truncation", "24", "--count", "-1"],
+        "metric_tol_nan": ["metric-check", "--truncation", "20", "--tol", "nan"],
+        "metric_tol_negative": ["metric-check", "--truncation", "20", "--tol", "-1"],
+        "fock_tol_nan": ["fock-check", "--modes", "3", "--tol", "nan"],
+        "fock_tol_negative": ["fock-check", "--modes", "3", "--tol", "-1"],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -149,7 +158,7 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
 
 def test_figure_violation_exits_1_without_writing(tmp_path, monkeypatch, capsys):
     def violating(points, boundary, tol=1e-9):
-        return fg.ContainmentReport(ok=False, margins=[-1.0] * len(points),
+        return fg.ContainmentReport(margins=[-1.0] * len(points),
                                     violations=[(0.05, 0.0, -1.0)])
 
     monkeypatch.setattr(fg, "containment_check", violating)

@@ -96,7 +96,7 @@ class TestContainment:
         pts = generate_curve(spec)
         b = hull_boundary(P35, 40)
         report = containment_check(pts, b)
-        assert report.ok
+        assert not report.violations
         assert min(report.margins) > -1e-9
 
     def test_low_beta_points_near_vertical_edge(self):
@@ -107,7 +107,7 @@ class TestContainment:
         pts = generate_curve(spec)
         b = hull_boundary(P35, 40)
         report = containment_check(pts, b)
-        assert report.ok
+        assert not report.violations
         assert min(report.margins) >= -1e-9
         assert max(p.number for p in pts) < 10.0
 

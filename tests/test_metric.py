@@ -19,9 +19,7 @@ from nhfermi import (
     dense_spectrum,
     ground_vectors,
     hermitized_hamiltonian,
-    ladder_sum_exp,
     make_params,
-    physical_inner,
 )
 from nhfermi.errors import NumericalError
 from nhfermi import metric
@@ -38,45 +36,66 @@ def interior_rel(R, *scales):
     return np.abs(R[:n, :n]).max() / s[:n, :n].max()
 
 
+def _exact_d2(gamma, M):
+    """D^2 from its Gauss factors at theta = 2 alpha in 2^-_B fixed point:
+    L = exp(t S+) with t = 2 gamma, weights q^((4l-3)/4) with q = Lambda^2."""
+    g = _fixed(gamma)
+    q = _ONE + (2 * g * g >> _B)
+    q4 = math.isqrt(math.isqrt(q << _B) << _B)
+    w = np.array([q4 * q**l >> _B * l for l in range(M)], dtype=object)
+    ts = np.diagonal(_dense_ladder(M)[1], -1) * (2 * g)
+    L = np.zeros((M, M), dtype=object)
+    L[0, 0] = _ONE
+    for k in range(1, M):
+        L[k, :k] = (L[k - 1, :k] * ts[k - 1] >> 2 * _B) // np.arange(k, 0, -1)
+        L[k, k] = _ONE
+    return ((L * w >> _B) @ L.T >> _B) / _ONE
+
+
 class TestLadderSumExp:
+    """D^2 as the leading block of the ladder-sum exponential exp(2 alpha K)."""
+
     def test_identity_at_zero(self):
-        assert np.array_equal(ladder_sum_exp(0.0, 10), np.eye(10))
+        for gamma in (0.0, -0.0):
+            for M in (2, 10):
+                assert np.array_equal(build_metric(make_params(gamma), M).d2, np.eye(M))
 
     def test_matches_padded_truncated_exponential(self):
         # interior entries of the semi-infinite exponential are the limit of
-        # truncated exponentials; compare against expm at tripled size
-        theta = 2 * P35.alpha
-        A = ladder_sum_exp(theta, 16)
+        # truncated exponentials; compare against expm at tripled size (past
+        # gamma ~ 1.2 expm(48) itself is off by 1e-9, so those stay out)
         S0, Sp, Sm = (x.entries for x in build_generators(48))
-        B = scipy.linalg.expm(theta * (Sp + Sm))
         n = 8
-        scale = np.abs(B[:n, :n]).max()
-        assert np.abs(A[:n, :n] - B[:n, :n]).max() / scale < 1e-12
+        for gamma in (0.6, 1e-3, -0.6, 0.9):
+            p = make_params(gamma)
+            A = build_metric(p, 16).d2
+            B = scipy.linalg.expm(2 * p.alpha * (Sp + Sm))
+            scale = np.abs(B[:n, :n]).max()
+            assert np.abs(A[:n, :n] - B[:n, :n]).max() / scale < 1e-12, gamma
 
     def test_symmetric_positive(self):
-        A = ladder_sum_exp(2 * P35.alpha, 20)
+        A = build_metric(P35, 20).d2
         assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
         assert np.linalg.eigvalsh((A + A.T) / 2).min() > 0
 
     def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            ladder_sum_exp(np.pi / np.sqrt(2) + 0.01, 10)
+        # the entries diverge at 2 alpha = pi/2, on either side
+        for gamma in (METRIC_GAMMA_BOUND, -METRIC_GAMMA_BOUND):
+            with pytest.raises(ValueError):
+                build_metric(make_params(gamma), 10)
+
+    @pytest.mark.parametrize("gamma", [1e-3, -0.6, 0.9, 1.42])
+    @pytest.mark.parametrize("M", [20, 100])
+    def test_matches_exact_fixed_point_factors(self, gamma, M):
+        ref = _exact_d2(gamma, M)
+        A = build_metric(make_params(gamma), M).d2
+        assert np.abs(A - ref).max() / np.abs(ref).max() < 3e-14
 
 
 class TestBuildMetric:
     def test_gamma_zero_identity(self):
         met = build_metric(make_params(0.0), 30)
         assert np.array_equal(met.d2, np.eye(30))
-        assert np.array_equal(met.d, np.eye(30))
-
-    def test_root_squares_to_metric_on_deep_interior(self):
-        # block products only converge to the semi-infinite product well away
-        # from the cut: the M/2 block still carries ~1e-6 tail, M/3 is clean
-        met = build_metric(P35, 60)
-        R = met.d @ met.d - met.d2
-        s = np.abs(met.d) @ np.abs(met.d)
-        n = 20
-        assert np.abs(R[:n, :n]).max() / s[:n, :n].max() < 1e-12
 
     def test_hermitization_residual(self):
         met = build_metric(P35, 60)
@@ -115,8 +134,8 @@ class TestBuildMetric:
             v = np.zeros(60)
             u[:20] = rng.standard_normal(20)
             v[:20] = rng.standard_normal(20)
-            a = physical_inner(met, T0 @ u, v)
-            b = physical_inner(met, u, T0 @ v)
+            a = v @ (met.d2 @ (T0 @ u))
+            b = (T0 @ v) @ (met.d2 @ u)
             assert abs(a - b) / max(1.0, abs(a)) < 1e-8
 
 
@@ -141,29 +160,26 @@ class TestConjugateGenerator:
 
 
 class TestPhysicalInner:
+    """The metric-induced inner product <D^2 u, v>."""
+
     def test_gamma_zero_euclidean(self):
         met = build_metric(make_params(0.0), 10)
         u = np.arange(10.0)
         v = np.ones(10)
-        assert physical_inner(met, u, v) == pytest.approx(u @ v)
+        assert v @ (met.d2 @ u) == pytest.approx(u @ v)
 
     def test_positive_on_ground_vector(self):
         met = build_metric(P35, 60)
         r, _ = ground_vectors(P35, 60)
-        assert physical_inner(met, r, r) > 0
+        assert r @ (met.d2 @ r) > 0
 
     def test_eigenvectors_metric_orthogonal(self):
         met = build_metric(P35, 60)
         sys = build_biorthogonal(P35, 60, 3)
         v1 = sys.right_vectors[:, 0]
         v2 = sys.right_vectors[:, 1]
-        norm = physical_inner(met, v1, v1)
-        assert abs(physical_inner(met, v1, v2)) / norm < 1e-8
-
-    def test_dimension_mismatch(self):
-        met = build_metric(P35, 10)
-        with pytest.raises(ValueError):
-            physical_inner(met, np.ones(10), np.ones(9))
+        norm = v1 @ (met.d2 @ v1)
+        assert abs(v2 @ (met.d2 @ v1)) / norm < 1e-8
 
 
 class TestHermitized:

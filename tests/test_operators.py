@@ -196,7 +196,7 @@ class TestDenseSpectrum:
 
     def test_non_tridiagonal_rejected(self):
         from nhfermi import TruncatedOperator
-        bad = TruncatedOperator(4, np.ones((4, 4)), "other")
+        bad = TruncatedOperator(4, np.ones((4, 4)))
         with pytest.raises(ValueError):
             dense_spectrum(bad, 2)
 
