@@ -173,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit codes: 0 success, 1 a check failed,
-    2 bad input, a numerical failure or an unreadable/unwritable file
-    (one line on stderr)."""
+    2 bad input (also a request too large for memory), a numerical failure
+    or an unreadable/unwritable file (one line on stderr)."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, NumericalError, TruncationError) as exc:
+    except (ValueError, OSError, MemoryError, NumericalError, TruncationError) as exc:
         print(f"nhfermi: error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,9 @@ __all__ = [
 CSV_COLUMNS = ("method", "gamma", "beta", "mu", "zeta_prime",
                "log_z", "energy", "number", "entropy")
 CONFIG_KEYS = ("gamma", "beta_list", "mu_list", "mu_sweep", "n_max")
+# Points per sweep: each grid is built in full before any point is computed,
+# and 100 000 points take about 12 s per curve.
+MAX_SWEEP_COUNT = 100_000
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ def default_figure_config() -> dict:
 
 
 def _linspace(lo: float, hi: float, count: int) -> np.ndarray:
-    if count < 2 or hi <= lo:
+    if hi <= lo:
         raise ValueError(f"bad sweep range ({lo}, {hi}, {count})")
     return np.linspace(lo, hi, count)
 
@@ -186,6 +189,9 @@ def _check_config(config) -> None:
         if not (isinstance(sweep, dict) and all(_is_number(sweep.get(f)) for f in fields)):
             raise ValueError(f"figure config {key!r} must be an object with "
                              f"numeric {', '.join(fields)}")
+        if not (isinstance(sweep["count"], int) and 2 <= sweep["count"] <= MAX_SWEEP_COUNT):
+            raise ValueError(f"figure config {key!r} count must be an integer in "
+                             f"[2, {MAX_SWEEP_COUNT}], got {sweep['count']!r}")
 
 
 def figure_records(config: dict):
@@ -198,28 +204,29 @@ def figure_records(config: dict):
     the config is not a dict, lacks one of CONFIG_KEYS, or has a key of the
     wrong shape: beta_list a non-empty list of numbers, mu_list a list of
     numbers, mu_sweep (and low_beta_mu_sweep when present) an object with
-    numeric min, max and count (and beta).
+    numeric min and max (and beta) and an integer count in
+    [2, MAX_SWEEP_COUNT].
     """
     _check_config(config)
     gamma = float(config["gamma"])
     beta_list = [float(b) for b in config["beta_list"]]
     mu_list = [float(m) for m in config["mu_list"]]
     ms = config["mu_sweep"]
-    mu_grid = _linspace(float(ms["min"]), float(ms["max"]), int(ms["count"]))
+    mu_grid = _linspace(float(ms["min"]), float(ms["max"]), ms["count"])
     method = config.get("method", "exact")
     low = config.get("low_beta_mu_sweep")
 
     records = []
     for beta in beta_list:
         if low is not None and beta == float(low["beta"]):
-            grid = _linspace(float(low["min"]), float(low["max"]), int(low["count"]))
+            grid = _linspace(float(low["min"]), float(low["max"]), low["count"])
         else:
             grid = mu_grid
         spec = CurveSpec(gamma=gamma, mode="fixed_beta", fixed_value=beta,
                          sweep=tuple(grid), method=method)
         records.extend(generate_curve(spec))
     lo, hi = min(beta_list), max(beta_list)
-    beta_grid = np.array([lo]) if lo == hi else np.geomspace(lo, hi, int(ms["count"]))
+    beta_grid = np.array([lo]) if lo == hi else np.geomspace(lo, hi, ms["count"])
     for mu in mu_list:
         spec = CurveSpec(gamma=gamma, mode="fixed_mu", fixed_value=mu,
                          sweep=tuple(beta_grid), method=method)

@@ -27,26 +27,29 @@ matrix scale reaches 1e30 while interior entries sit near 1e12, so residual
 checks are scale-relative throughout.
 
 The conjugations exp(-alpha K) X exp(alpha K) cancel intermediate terms
-far above their O(M) results (frame entries reach 2e28 at gamma = 1,
+far above their O(M) results (frame entries reach 2e13 at gamma = 1,
 M = 60).  They run in fixed point, integers scaled by 2^200, with X
 (S0, S+, S- or H) a padded tridiagonal integer matrix given by its
 diagonals.  At theta = alpha the Gauss constants are algebraic,
 t = 2 gamma / (1 + Lambda) and c^2 = (Lambda + 1) / (2 Lambda), so the
-frame (rows < M of exp(alpha K)) needs integer square roots and products
-alone.  L(-t) = P L(t) P with P = diag((-1)^i) gives exp(-alpha K) =
-P exp(alpha K) P, so one cached frame serves both directions.  The sum over
-intermediate states stops at 4M.  The worst interior error of the four
-conjugations (leading half, against T and Lambda S0) measured <= 1.4e-14
-for gamma <= 1.25 at M = 60, 1.4e-13 for gamma <= 1.2 at M = 40 and 5e-15
-for gamma <= 1.0 at M = 20, and <= 3.6e-15 for 0 < |gamma| <= 1e-3 at
-M <= 40.  Nearer the metric bound it grows, and nothing raises: 6.9e-11 at
-gamma = 1.3 and 8.7e-3 at gamma = 1.42 for M = 60, 1.6e-8 at gamma = 1.2
-for M = 20.  At M = 60 a sum to 5M measured converged up to gamma = 1.427.
+frame needs integer square roots and products alone.  L(-t) = P L(t) P
+with P = diag((-1)^i) gives exp(-alpha K) = P exp(alpha K) P, so one cached
+frame serves both directions.  The sum over intermediate states stops at
+4M, and the conjugations return only the leading n x n block, n = M // 2:
+the frame is rows < n of exp(alpha K), and since its L factor is lower
+triangular, rows < n need only columns < n of L (the dropped terms are
+exact zeros).  The worst error of the four conjugations in that block
+(against T and Lambda S0) measured <= 1.4e-14 for gamma <= 1.25 at
+M = 60, 1.4e-13 for gamma <= 1.2 at M = 40 and 5e-15 for gamma <= 1.0 at
+M = 20, and <= 3.6e-15 for 0 < |gamma| <= 1e-3 at M <= 40.  Nearer the
+metric bound it grows, and nothing raises: 6.9e-11 at gamma = 1.3 and
+8.7e-3 at gamma = 1.42 for M = 60, 1.6e-8 at gamma = 1.2 for M = 20.  At
+M = 60 a sum to 5M measured converged up to gamma = 1.427.
 
 Integer products.  The fixed-point values stay in 16-bit two's-complement
 limbs (uint16 arrays: low limbs unsigned, the top one signed) from the
 frame to the result.  Python ints enter only as L, L W and the diagonals of
-X, and leave only as the M x M result; the frame is cached as the limbs of
+X, and leave only as the n x n result; the frame is cached as the limbs of
 E^T.  The left product E X is, column by column, a Toeplitz matrix of one X
 entry's limbs times the limbs of a column of E, a batched float64 gemm.
 The dense products (E X) E^T and L (L W)^T run as full-k gemms of every
@@ -62,9 +65,9 @@ product is carried once, lowest limb first, one limb at a time in int64;
 the P flips are exact negations before that carry, and >> B drops whole
 limbs and shifts the rest.  So the outputs are the same integers, bit for
 bit, as Python-int object matmuls.  The four outputs, frame built cold,
-take 0.14-0.17 s at gamma = 0.6, M = 60 and 0.65-0.83 s at gamma = 1.0,
-M = 100 (medians of three sets of runs; 2-core Intel Xeon x86-64 shared
-with other jobs, OpenBLAS 0.3.31 on one thread).
+take 0.035-0.042 s at gamma = 0.6, M = 60 and 0.12-0.18 s at gamma = 1.0,
+M = 100 (three sets of three runs; 2-core Intel Xeon x86-64 shared with
+other jobs, OpenBLAS 0.3.31 on one thread).
 """
 
 import functools
@@ -255,25 +258,25 @@ def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _left_product(ef: np.ndarray, X: dict, flip_rows: bool) -> np.ndarray:
     """Limbs of (E X) >> B, or of (P E X) >> B with flip_rows, laid out as
-    (column, limb, row); E by the float limbs ef (N, le, M) of E^T, X the
+    (column, limb, row); E by the float limbs ef (N, le, rows) of E^T, X the
     tridiagonal matrix by its diagonals (see _conjugate).
 
     Column c of E X is sum_o E[:, c + o] X[o][c + min(o, 0)]: per column,
     a Toeplitz matrix of one X entry's limbs times the limbs of E's column,
     a batched gemm over the columns of each block of _COLS.
     """
-    N, le, M = ef.shape
+    N, le, rows = ef.shape
     lx = max(map(_nlimbs, X.values()))
-    _check_exact(le, lx, len(X), (M, N))
+    _check_exact(le, lx, len(X), (rows, N))
     n = le + lx + (len(X).bit_length() + 15) // 16
     # window u of a row of xp, reversed, is row u of that entry's Toeplitz
     # matrix: entry (u, i) = limb u - i of the X entry
     xp = {o: np.pad(_floats(_limbs(v, lx)), ((0, 0), (le - 1, n - lx)))
           for o, v in X.items()}
-    out = np.empty((N, n, M), np.uint16)
+    out = np.empty((N, n, rows), np.uint16)
     for c0 in range(0, N, _COLS):
         c1 = min(c0 + _COLS, N)
-        d = np.zeros((c1 - c0, n, M))
+        d = np.zeros((c1 - c0, n, rows))
         for o, x in xp.items():
             lo, hi = max(c0, -o), min(c1, N - o)
             t = sliding_window_view(x[lo + min(o, 0):hi + min(o, 0)], le, axis=1)
@@ -286,40 +289,42 @@ def _left_product(ef: np.ndarray, X: dict, flip_rows: bool) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _frame(gamma: float, M: int) -> np.ndarray:
-    """Limbs of E^T, E the rows < M and columns < _PAD * M of exp(alpha K) in
-    fixed point, gamma >= 0; shape (_PAD * M, limbs, M), read-only.
+    """Limbs of E^T, E the rows < n = M // 2 and columns < _PAD * M of
+    exp(alpha K) in fixed point, gamma >= 0; shape (_PAD * M, limbs, n),
+    read-only.
 
     Gauss factors at theta = alpha: exp(alpha K) = L W L^T with
     L = exp(t S+), W = c^(-2 S0), t = 2 gamma / (1 + Lambda) and
-    c^2 = (Lambda + 1) / (2 Lambda).  L is lower triangular, so rows < M
-    need only its columns < M.  Only the latest frame is kept.
+    c^2 = (Lambda + 1) / (2 Lambda).  L is lower triangular, so rows < n
+    need only its columns < n.  Only the latest frame is kept.
     """
-    pad = _PAD * M
+    pad, n = _PAD * M, M // 2
     g = _fixed(gamma)
     lam = math.isqrt(_ONE * _ONE + 2 * g * g)
     t = 2 * g * _ONE // (_ONE + lam)
     q = 2 * lam * _ONE // (_ONE + lam)                      # c^-2
     q4 = math.isqrt(math.isqrt(q << _B) << _B)              # q^(1/4)
-    w = [q4 * q**l >> _B * l for l in range(M)]             # c^(-2 S0)
+    w = [q4 * q**l >> _B * l for l in range(n)]             # c^(-2 S0)
     ts = _fixed_ladder(pad)[1] * t
-    L = np.zeros((pad, M), dtype=object)
+    L = np.zeros((pad, n), dtype=object)
     L[0, 0] = _ONE
     for k in range(1, pad):
         # L[k, j] = L[k-1, j] t s[k-1] // ((k - j) 2^2B), floored in two steps
-        j = min(k, M)
+        j = min(k, n)
         L[k, :j] = (L[k - 1, :j] * ts[k - 1] >> 2 * _B) // np.arange(k, k - j, -1)
-        if k < M:
+        if k < n:
             L[k, k] = _ONE
-    # E^T = (L (L[:M] W >> B)^T) >> B
-    et = _trim(_shift(_imatmul(L, (L[:M] * w >> _B).T)))
+    # E^T = (L (L[:n] W >> B)^T) >> B
+    et = _trim(_shift(_imatmul(L, (L[:n] * w >> _B).T)))
     et.flags.writeable = False
     return et
 
 
 def _conjugate(gamma: float, M: int, X: dict) -> np.ndarray:
-    """Leading M x M block of exp(-alpha K) X exp(alpha K), X the padded
-    fixed-point tridiagonal matrix with diagonals X[o], o in {-1, 0, 1}:
-    X[k + o, k] = X[o][min(k, k + o)] (absent diagonals are zero).
+    """Leading n x n block, n = M // 2, of exp(-alpha K) X exp(alpha K), X
+    the padded fixed-point tridiagonal matrix with diagonals X[o],
+    o in {-1, 0, 1}: X[k + o, k] = X[o][min(k, k + o)] (absent diagonals are
+    zero).
 
     exp(-|alpha| K) = P exp(|alpha| K) P with P = diag((-1)^i) covers either
     sign of alpha; each P enters as exact negations before the shift that
@@ -341,37 +346,40 @@ def _conjugate(gamma: float, M: int, X: dict) -> np.ndarray:
 
 
 def conjugate_generator(params: ModelParams, M: int, which: str) -> TruncatedOperator:
-    """exp(-alpha K) X exp(alpha K) for X in {S0, Splus, Sminus}.
+    """Leading n x n block, n = M // 2, of exp(-alpha K) X exp(alpha K) for
+    X in {S0, Splus, Sminus}, with the sum over intermediate states cut at
+    _PAD * M.
 
-    Leading M x M block of the semi-infinite conjugation through the
-    fixed-point kernel (module docstring).  Its leading half reproduces
-    T0 / T+ / T- of build_t_operators over the measured range stated there;
-    rows near the cut are tail-dominated.
+    Fixed-point kernel of the module docstring; the block reproduces
+    T0 / T+ / T- of build_t_operators over the measured range stated there.
     """
     if which not in ("S0", "Splus", "Sminus"):
         raise ValueError(f"which must be one of S0/Splus/Sminus, got {which!r}")
     if M < 2:
         raise ValueError(f"truncation order must be >= 2, got {M}")
+    n = M // 2
     if params.gamma == 0.0:
-        S0, Sp, Sm = build_generators(M)
-        return {"S0": S0, "Splus": Sp, "Sminus": Sm}[which]
+        S = build_generators(M)[("S0", "Splus", "Sminus").index(which)]
+        return TruncatedOperator(n, S.entries[:n, :n])
     s0, sp = _fixed_ladder(_PAD * M)
     X = {"S0": {0: s0}, "Splus": {1: sp}, "Sminus": {-1: sp}}[which]
-    return TruncatedOperator(M, _conjugate(params.gamma, M, X))
+    return TruncatedOperator(n, _conjugate(params.gamma, M, X))
 
 
 def hermitized_hamiltonian(params: ModelParams, M: int) -> np.ndarray:
-    """D H D^{-1} = exp(alpha K) H exp(-alpha K), symmetric on the interior.
+    """Leading n x n block, n = M // 2, of D H D^{-1} =
+    exp(alpha K) H exp(-alpha K), symmetric.
 
     Same kernel and measured range as conjugate_generator (inverting the
     finite block of D in floats is hopeless: condition numbers beyond 1e20).
-    The interior reduces to the diagonal Lambda S0, so its low eigenvalues
+    The block reduces to the diagonal Lambda S0, so its low eigenvalues
     agree with the truncated spectrum up to truncation tails.
     """
     if M < 2:
         raise ValueError(f"truncation order must be >= 2, got {M}")
     if params.gamma == 0.0:
-        return np.diag((4 * np.arange(1, M + 1) - 3) / 4.0)
+        n = M // 2
+        return build_generators(M)[0].entries[:n, :n]
     s0, sp = _fixed_ladder(_PAD * M)
     g = _fixed(params.gamma)
     # exp(alpha K) H exp(-alpha K) is the kernel at -gamma, since alpha is odd

@@ -273,7 +273,7 @@ def _fermi_sums(bl: float, zp: float, tail_tol: float = TAIL_TOL) -> _FermiSums:
     docstring).  Raises ValueError when a sum overflows a float or the
     Fermi level lies past mode 2^50, and TruncationError when the window
     cap is reached before the bound fits."""
-    if not tail_tol > 0.0:
+    if not 0.0 < tail_tol < math.inf:
         raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     if not math.isfinite(zp):
         raise ValueError(f"zeta' must be finite, got {zp}")

@@ -117,7 +117,10 @@ def _small_figure_config(tmp_path, **overrides):
                                   "beta_list_int", "sweep_no_min", "count_zero",
                                   "count_negative", "metric_tol_nan",
                                   "metric_tol_negative", "fock_tol_nan",
-                                  "fock_tol_negative"])
+                                  "fock_tol_negative", "tail_tol_inf",
+                                  "sweep_count_infinity", "sweep_count_1e12",
+                                  "sweep_count_fraction", "spectrum_huge_truncation",
+                                  "metric_huge_truncation"])
 def test_bad_input_exits_2(case, tmp_path, capsys):
     out = tmp_path / "out.csv"
     (tmp_path / "bad.json").write_text("{not json")
@@ -148,6 +151,16 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
         "metric_tol_negative": ["metric-check", "--truncation", "20", "--tol", "-1"],
         "fock_tol_nan": ["fock-check", "--modes", "3", "--tol", "nan"],
         "fock_tol_negative": ["fock-check", "--modes", "3", "--tol", "-1"],
+        "tail_tol_inf": ["thermo", "--beta", "0.01", "--mu", "0", "--tail-tol", "inf"],
+        "sweep_count_infinity": figure + [_small_figure_config(
+            tmp_path, mu_sweep={"min": -1.0, "max": 1.0, "count": math.inf})],
+        "sweep_count_1e12": figure + [_small_figure_config(
+            tmp_path, mu_sweep={"min": -1.0, "max": 1.0, "count": 1e12})],
+        "sweep_count_fraction": figure + [_small_figure_config(
+            tmp_path, mu_sweep={"min": -1.0, "max": 1.0, "count": 201.7})],
+        # about 728 TiB: more than any 48-bit address space, so it fails at once
+        "spectrum_huge_truncation": ["spectrum", "--truncation", "10000000"],
+        "metric_huge_truncation": ["metric-check", "--truncation", "10000000"],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
